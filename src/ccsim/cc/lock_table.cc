@@ -1,6 +1,7 @@
 #include "ccsim/cc/lock_table.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "ccsim/sim/check.h"
@@ -11,13 +12,34 @@ namespace {
 bool Conflicts(LockMode a, LockMode b) { return !Compatible(a, b); }
 }  // namespace
 
-LockTable::WaitQueue& LockTable::EnsureQueue(Entry& entry) {
-  if (!entry.queue) entry.queue = std::make_unique<WaitQueue>();
+LockTable::WaitQueue& LockTable::EnsureQueue(std::uint64_t key,
+                                             Entry& entry) {
+  if (!entry.queue) {
+    entry.queue = std::make_unique<WaitQueue>();
+    queued_keys_.insert(
+        std::lower_bound(queued_keys_.begin(), queued_keys_.end(), key), key);
+  }
   return *entry.queue;
 }
 
-void LockTable::PruneQueue(Entry& entry) {
-  if (entry.queue && entry.queue->empty()) entry.queue.reset();
+void LockTable::PruneQueue(std::uint64_t key, Entry& entry) {
+  if (!entry.queue || !entry.queue->empty()) return;
+  entry.queue.reset();
+  queued_keys_.erase(
+      std::lower_bound(queued_keys_.begin(), queued_keys_.end(), key));
+}
+
+template <typename Fn>
+void LockTable::ForEachBlocker(const Entry& entry, TxnId txn, LockMode mode,
+                               bool is_upgrade, std::size_t ahead, Fn&& fn) {
+  for (const Holder& h : entry.holders) {
+    if (h.id == txn) continue;
+    if (is_upgrade || Conflicts(h.mode, mode)) fn(h.txn);
+  }
+  for (std::size_t i = 0; i < ahead; ++i) {
+    const Waiter& w = (*entry.queue)[i];
+    if (Conflicts(w.mode, mode)) fn(w.txn);
+  }
 }
 
 LockTable::Holder* LockTable::FindHolder(Entry& entry, TxnId txn) {
@@ -99,17 +121,9 @@ LockTable::RequestResult LockTable::Request(const txn::TxnPtr& txn,
     }
   }
 
-  // Must wait. Collect blockers: incompatible holders (self excluded, TxnId
-  // ascending) and conflicting requests queued ahead.
-  for (const Holder& h : entry.holders) {
-    if (h.id == id) continue;
-    if (is_upgrade || Conflicts(h.mode, mode)) {
-      result.blockers.push_back(h.txn);
-    }
-  }
-
-  // Upgrades wait at the front, after any upgrades already queued.
-  WaitQueue& queue = EnsureQueue(entry);
+  // Must wait. Upgrades wait at the front, after any upgrades already
+  // queued.
+  WaitQueue& queue = EnsureQueue(key, entry);
   std::size_t insert_pos = queue.size();
   if (is_upgrade) {
     insert_pos = 0;
@@ -118,14 +132,13 @@ LockTable::RequestResult LockTable::Request(const txn::TxnPtr& txn,
     }
   }
   for (std::size_t i = 0; i < insert_pos; ++i) {
-    const Waiter& ahead = queue[i];
-    CCSIM_CHECK_MSG(ahead.txn->id() != id,
+    CCSIM_CHECK_MSG(queue[i].txn->id() != id,
                     "transaction enqueued twice on one lock");
-    if (Conflicts(ahead.mode, mode) || ahead.mode == LockMode::kExclusive ||
-        mode == LockMode::kExclusive) {
-      result.blockers.push_back(ahead.txn);
-    }
   }
+  ForEachBlocker(entry, id, mode, is_upgrade, insert_pos,
+                 [&result](const txn::TxnPtr& blocker) {
+                   result.blockers.push_back(blocker);
+                 });
 
   queue.insert(insert_pos, Waiter{txn, mode, is_upgrade, result.completion,
                                sim_->Now()});
@@ -178,7 +191,7 @@ void LockTable::PumpQueue(std::uint64_t key) {
     }
     granted.completion->Complete(AccessOutcome::kGranted);
   }
-  PruneQueue(*entry);
+  PruneQueue(key, *entry);
   if (entry->holders.empty() && !entry->queue) entries_.Erase(key);
 }
 
@@ -208,7 +221,7 @@ void LockTable::ReleaseAll(TxnId txn, bool abort_waiters) {
         ++i;
       }
     }
-    PruneQueue(*entry);
+    PruneQueue(key, *entry);
     PumpQueue(key);
     // PumpQueue may have erased the entry already; re-find and erase if
     // empty.
@@ -227,7 +240,7 @@ bool LockTable::CancelRequest(TxnId txn, const PageRef& page) {
     if ((*entry->queue)[i].txn->id() != txn) continue;
     auto completion = (*entry->queue)[i].completion;
     entry->queue->erase(i);
-    PruneQueue(*entry);
+    PruneQueue(page.Key(), *entry);
     --waiting_count_;
     completion->Complete(AccessOutcome::kAborted);
     PumpQueue(page.Key());
@@ -243,39 +256,56 @@ bool LockTable::CancelRequest(TxnId txn, const PageRef& page) {
 
 std::vector<WaitEdge> LockTable::WaitsForEdges() const {
   std::vector<WaitEdge> edges;
-  // The order edges are emitted decides the DFS order (and thus the cycle
-  // found first, and thus the deadlock victim) in the WaitsForGraph built
-  // from them. entries_ iterates in hash-table order, so walk keys in
-  // sorted order instead: the edge list is identical across runs and
-  // stdlib versions.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(entries_.size());
-  // ccsim-lint: unordered-iter-ok(collects keys only; sorted before use)
-  entries_.ForEach(
-      [&keys](std::uint64_t key, const Entry&) { keys.push_back(key); });
-  std::sort(keys.begin(), keys.end());
-  for (std::uint64_t key : keys) {
+  // Only entries with a wait queue have edges. queued_keys_ is sorted, so
+  // the edge list - and with it the cycle a graph built from it finds
+  // first - does not depend on hash-table order.
+  for (std::uint64_t key : queued_keys_) {
     const Entry& entry = *entries_.Find(key);
-    for (std::size_t i = 0; i < QueueSize(entry); ++i) {
+    for (std::size_t i = 0; i < entry.queue->size(); ++i) {
       const Waiter& w = (*entry.queue)[i];
-      for (const Holder& h : entry.holders) {
-        if (h.id == w.txn->id()) continue;
-        if (w.is_upgrade || Conflicts(h.mode, w.mode)) {
-          edges.push_back(WaitEdge{w.txn->id(), w.txn->initial_ts(), h.id,
-                                   h.txn->initial_ts()});
-        }
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        const Waiter& ahead = (*entry.queue)[j];
-        if (ahead.mode == LockMode::kExclusive ||
-            w.mode == LockMode::kExclusive) {
-          edges.push_back(WaitEdge{w.txn->id(), w.txn->initial_ts(),
-                                   ahead.txn->id(), ahead.txn->initial_ts()});
-        }
-      }
+      ForEachBlocker(entry, w.txn->id(), w.mode, w.is_upgrade, i,
+                     [&edges, &w](const txn::TxnPtr& blocker) {
+                       edges.push_back(WaitEdge{w.txn->id(),
+                                                w.txn->initial_ts(),
+                                                blocker->id(),
+                                                blocker->initial_ts()});
+                     });
     }
   }
   return edges;
+}
+
+// ccsim-analyze: hot-path(once per blocked request)
+const std::vector<WaitNode>& LockTable::FindCycleFrom(
+    const txn::Transaction& txn) {
+  return search_.Find(WaitNode{txn.id(), txn.initial_ts()},
+                      [this](TxnId id, std::vector<WaitNode>& out) {
+                        AppendWaitsFor(id, out);
+                      });
+}
+
+// ccsim-analyze: hot-path(once per transaction a deadlock search reaches)
+void LockTable::AppendWaitsFor(TxnId txn, std::vector<WaitNode>& out) {
+  const KeyList* kit = txn_keys_.Find(txn);
+  if (kit == nullptr) return;
+  key_scratch_.assign(kit->begin(), kit->end());
+  std::sort(key_scratch_.begin(), key_scratch_.end());
+  key_scratch_.erase(std::unique(key_scratch_.begin(), key_scratch_.end()),
+                     key_scratch_.end());
+  for (std::uint64_t key : key_scratch_) {
+    const Entry* entry = entries_.Find(key);
+    if (entry == nullptr || !entry->queue) continue;
+    for (std::size_t i = 0; i < entry->queue->size(); ++i) {
+      const Waiter& w = (*entry->queue)[i];
+      if (w.txn->id() != txn) continue;
+      ForEachBlocker(*entry, txn, w.mode, w.is_upgrade, i,
+                     [&out](const txn::TxnPtr& blocker) {
+                       out.push_back(
+                           WaitNode{blocker->id(), blocker->initial_ts()});
+                     });
+      break;  // a transaction is queued at most once per lock
+    }
+  }
 }
 
 bool LockTable::IsWaiting(TxnId txn) const {
@@ -300,6 +330,7 @@ bool LockTable::HoldsLock(TxnId txn, const PageRef& page) const {
 void LockTable::AuditInvariants() const {
   if (!sim::kAuditEnabled) return;
   std::size_t queued = 0;
+  std::size_t with_queue = 0;
   // Audit sweep in table order; per-entry checks are independent.
   // ccsim-lint: unordered-iter-ok(pass/fail audit; order-independent checks)
   entries_.ForEach([&](std::uint64_t key, const Entry& entry) {
@@ -307,6 +338,12 @@ void LockTable::AuditInvariants() const {
                      "empty lock entry not erased");
     CCSIM_DCHECK_MSG(!entry.queue || !entry.queue->empty(),
                      "empty wait queue not pruned");
+    if (entry.queue) {
+      ++with_queue;
+      CCSIM_DCHECK_MSG(std::binary_search(queued_keys_.begin(),
+                                          queued_keys_.end(), key),
+                       "entry with a wait queue missing from queued_keys_");
+    }
     bool any_exclusive = false;
     for (std::size_t i = 0; i < entry.holders.size(); ++i) {
       const Holder& h = entry.holders[i];
@@ -354,6 +391,14 @@ void LockTable::AuditInvariants() const {
   });
   CCSIM_DCHECK_MSG(queued == waiting_count_,
                    "waiting_count_ out of sync with lock queues");
+  // Every queued entry is listed and the list is strictly ascending, so
+  // equal counts mean it lists nothing else.
+  CCSIM_DCHECK_MSG(std::adjacent_find(queued_keys_.begin(), queued_keys_.end(),
+                                      std::greater_equal<>()) ==
+                       queued_keys_.end(),
+                   "queued_keys_ not strictly ascending");
+  CCSIM_DCHECK_MSG(with_queue == queued_keys_.size(),
+                   "queued_keys_ lists an entry without a wait queue");
 }
 
 }  // namespace ccsim::cc

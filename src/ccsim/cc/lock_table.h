@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ccsim/cc/cc_manager.h"
+#include "ccsim/cc/waits_for_graph.h"
 #include "ccsim/common/flat_hash.h"
 #include "ccsim/common/small_vec.h"
 #include "ccsim/common/types.h"
@@ -44,6 +45,12 @@ constexpr bool Compatible(LockMode held, LockMode requested) {
 /// edges, grant checks) sees the exact order the old std::map gave:
 /// deadlock victim choice, and hence the determinism goldens, are
 /// byte-identical.
+///
+/// Waits-for information is read straight off the queues (DESIGN.md
+/// decision #15): the keys of entries with a wait queue are kept in a
+/// sorted index, so the Snoop's export walks only those, and local deadlock
+/// detection searches from the blocked transaction without building a
+/// graph.
 class LockTable {
  public:
   explicit LockTable(sim::Simulation* sim) : sim_(sim) {}
@@ -95,11 +102,23 @@ class LockTable {
   /// timeout-based blocking.
   bool CancelRequest(TxnId txn, const PageRef& page);
 
-  /// Txn-level waits-for edges over the current queues.
+  /// Txn-level waits-for edges over the current queues: page keys
+  /// ascending; per key, each waiter in queue order; per waiter, the
+  /// incompatible holders (TxnId ascending), then the conflicting requests
+  /// queued ahead of it. This order decides which cycle a WaitsForGraph
+  /// built from the edges finds first.
   std::vector<WaitEdge> WaitsForEdges() const;
 
-  /// Blockers of one waiting transaction (for local deadlock detection the
-  /// caller usually wants WaitsForEdges(); this is a convenience for tests).
+  /// Local deadlock detection (Sec 2.2): the members of the first waits-for
+  /// cycle reachable from `txn`, or an empty list. Returns exactly what
+  /// WaitsForGraph::FindCycleFrom(txn.id()) returns over a graph built from
+  /// WaitsForEdges(), but reads each reached transaction's out-edges off
+  /// the queues, in that same order, and builds no graph. The list is
+  /// scratch reused by the next call.
+  const std::vector<WaitNode>& FindCycleFrom(const txn::Transaction& txn);
+
+  /// True if `txn` has a request queued on this table (a pending lock or
+  /// upgrade).
   bool IsWaiting(TxnId txn) const;
   bool HoldsLock(TxnId txn, const PageRef& page) const;
   std::size_t num_locked_pages() const { return entries_.size(); }
@@ -112,8 +131,9 @@ class LockTable {
   /// Audit-mode consistency sweep over every entry: holders are sorted and
   /// mutually compatible, no transaction is both granted and waiting on one
   /// page (except a queued upgrade), upgrades form a prefix of the queue, no
-  /// transaction is queued twice, waiting_count_ matches the queues, and
-  /// txn_keys_ covers every holder and waiter. No-op unless built with
+  /// transaction is queued twice, waiting_count_ matches the queues,
+  /// txn_keys_ covers every holder and waiter, and queued_keys_ lists
+  /// exactly the entries that have a wait queue. No-op unless built with
   /// CCSIM_AUDIT.
   void AuditInvariants() const;
 
@@ -150,10 +170,23 @@ class LockTable {
   static std::size_t QueueSize(const Entry& entry) {
     return entry.queue ? entry.queue->size() : 0;
   }
-  /// The queue, allocating it on first use.
-  static WaitQueue& EnsureQueue(Entry& entry);
-  /// Frees the queue allocation once it is empty again.
-  static void PruneQueue(Entry& entry);
+  /// The queue of `key`'s entry, allocating it (and indexing the key in
+  /// queued_keys_) on first use.
+  WaitQueue& EnsureQueue(std::uint64_t key, Entry& entry);
+  /// Frees the queue allocation once it is empty again, and drops the key
+  /// from queued_keys_.
+  void PruneQueue(std::uint64_t key, Entry& entry);
+
+  /// Calls fn(blocker) for every transaction that a request by `txn` for
+  /// `mode`, queued behind the first `ahead` waiters of `entry`, waits for:
+  /// the incompatible holders (self excluded, TxnId ascending), then the
+  /// conflicting requests queued ahead (queue order).
+  template <typename Fn>
+  static void ForEachBlocker(const Entry& entry, TxnId txn, LockMode mode,
+                             bool is_upgrade, std::size_t ahead, Fn&& fn);
+  /// Appends the transactions `txn` waits for, in WaitsForEdges() order:
+  /// the keys it waits on ascending, and per key its blockers.
+  void AppendWaitsFor(TxnId txn, std::vector<WaitNode>& out);
 
   /// Holder slot for `txn` in sorted position, or nullptr.
   static Holder* FindHolder(Entry& entry, TxnId txn);
@@ -170,10 +203,16 @@ class LockTable {
   GrantCallback on_delayed_grant_;
   bool allow_queue_jump_ = false;
   common::FlatHashMap<std::uint64_t, Entry> entries_;
-  // All lock keys a txn holds or waits on (for ReleaseAll).
+  // All lock keys a txn holds or waits on (for ReleaseAll and the deadlock
+  // search).
   common::FlatHashMap<TxnId, KeyList> txn_keys_;
+  // Keys of the entries that have a wait queue, ascending.
+  std::vector<std::uint64_t> queued_keys_;
   stats::Tally wait_times_;
   std::size_t waiting_count_ = 0;
+  // Deadlock-search scratch, reused across FindCycleFrom calls.
+  CycleSearch search_;
+  std::vector<std::uint64_t> key_scratch_;
 };
 
 }  // namespace ccsim::cc

@@ -46,17 +46,14 @@ TwoPhaseLockingManager::RequestAccess(const txn::TxnPtr& txn, int cohort_index,
   return result.completion;
 }
 
+// ccsim-analyze: hot-path(once per blocked request)
 void TwoPhaseLockingManager::DetectLocalDeadlock(const txn::TxnPtr& txn) {
-  WaitsForGraph graph;
-  graph.AddEdges(lock_table_.WaitsForEdges());
-  auto cycle = graph.FindCycleFrom(txn->id());
-  if (!cycle.empty()) {
-    TxnId victim_id = graph.YoungestOf(cycle);
-    txn::TxnPtr victim = FindTxn(victim_id);
-    CCSIM_CHECK_MSG(victim != nullptr, "deadlock victim not registered");
-    ctx_->RequestAbort(victim, victim->attempt(), node_,
-                       txn::AbortReason::kLocalDeadlock);
-  }
+  const auto& cycle = lock_table_.FindCycleFrom(*txn);
+  if (cycle.empty()) return;
+  txn::TxnPtr victim = FindTxn(YoungestMember(cycle));
+  CCSIM_CHECK_MSG(victim != nullptr, "deadlock victim not registered");
+  ctx_->RequestAbort(victim, victim->attempt(), node_,
+                     txn::AbortReason::kLocalDeadlock);
 }
 
 void TwoPhaseLockingManager::CommitCohort(const txn::TxnPtr& txn,

@@ -51,9 +51,9 @@ class TwoPhaseLockingManager : public CcManager {
   const LockTable& lock_table() const { return lock_table_; }
 
  protected:
-  /// Runs local deadlock detection over the current lock table and requests
-  /// the abort of the youngest cycle member reachable from `txn`, if any
-  /// (Sec 2.2: detection runs whenever a cohort blocks).
+  /// Runs local deadlock detection from `txn` over the live lock table and
+  /// requests the abort of the youngest member of the first cycle found, if
+  /// any (Sec 2.2: detection runs whenever a cohort blocks).
   void DetectLocalDeadlock(const txn::TxnPtr& txn);
 
   CcContext* ctx_;

@@ -45,71 +45,42 @@ std::size_t WaitsForGraph::num_edges() const {
   return n;
 }
 
-std::vector<TxnId> WaitsForGraph::FindCycleFrom(TxnId start) const {
-  std::size_t start_idx = FindIndex(start);
-  if (start_idx == nodes_.size()) return {};
-  // Iterative DFS tracking the current path; a back-edge onto the path
-  // yields the cycle members.
-  std::vector<signed char> state(nodes_.size(), 0);  // 0 new, 1 on path,
-                                                     // 2 done
-  std::vector<std::pair<std::size_t, std::size_t>> stack;  // (node, edge idx)
-  std::vector<TxnId> path;
-
-  stack.emplace_back(start_idx, 0);
-  state[start_idx] = 1;
-  path.push_back(start);
-
-  while (!stack.empty()) {
-    auto& [node, idx] = stack.back();
-    const auto& outs = nodes_[node].out;
-    if (idx >= outs.size()) {
-      state[node] = 2;
-      stack.pop_back();
-      path.pop_back();
-      continue;
-    }
-    TxnId next = outs[idx++];
-    std::size_t next_idx = FindIndex(next);
-    CCSIM_CHECK(next_idx < nodes_.size());  // AddEdge creates both endpoints
-    if (state[next_idx] == 1) {
-      // Found a cycle: members are the path suffix from `next`.
-      auto pit = std::find(path.begin(), path.end(), next);
-      CCSIM_CHECK(pit != path.end());
-      return std::vector<TxnId>(pit, path.end());
-    }
-    if (state[next_idx] == 0) {
-      state[next_idx] = 1;
-      stack.emplace_back(next_idx, 0);
-      path.push_back(next);
-    }
-  }
-  return {};
+WaitNode WaitsForGraph::NodeOf(TxnId id) const {
+  std::size_t idx = FindIndex(id);
+  CCSIM_CHECK(idx < nodes_.size());  // AddEdge creates both endpoints
+  return WaitNode{id, nodes_[idx].ts};
 }
 
-std::vector<TxnId> WaitsForGraph::FindAnyCycle() const {
-  for (const Node& node : nodes_) {
-    auto cycle = FindCycleFrom(node.id);
-    if (!cycle.empty()) return cycle;
+const std::vector<WaitNode>& WaitsForGraph::SearchFrom(TxnId start) const {
+  return search_.Find(NodeOf(start),
+                      [this](TxnId id, std::vector<WaitNode>& out) {
+                        for (TxnId next : nodes_[FindIndex(id)].out) {
+                          out.push_back(NodeOf(next));
+                        }
+                      });
+}
+
+std::vector<TxnId> WaitsForGraph::FindCycleFrom(TxnId start) const {
+  if (FindIndex(start) == nodes_.size()) return {};
+  std::vector<TxnId> ids;
+  for (const WaitNode& member : SearchFrom(start)) ids.push_back(member.id);
+  return ids;
+}
+
+TxnId YoungestMember(const std::vector<WaitNode>& cycle) {
+  CCSIM_CHECK(!cycle.empty());
+  WaitNode youngest = cycle.front();
+  for (const WaitNode& member : cycle) {
+    // Larger timestamp = more recent startup = younger.
+    if (youngest.ts < member.ts) youngest = member;
   }
-  return {};
+  return youngest.id;
 }
 
 TxnId WaitsForGraph::YoungestOf(const std::vector<TxnId>& cycle) const {
-  CCSIM_CHECK(!cycle.empty());
-  TxnId youngest = cycle.front();
-  std::size_t yidx = FindIndex(youngest);
-  CCSIM_CHECK(yidx < nodes_.size());
-  Timestamp best = nodes_[yidx].ts;
-  for (TxnId id : cycle) {
-    std::size_t idx = FindIndex(id);
-    CCSIM_CHECK(idx < nodes_.size());
-    Timestamp ts = nodes_[idx].ts;
-    if (best < ts) {  // larger timestamp = more recent startup = younger
-      best = ts;
-      youngest = id;
-    }
-  }
-  return youngest;
+  std::vector<WaitNode> members;
+  for (TxnId id : cycle) members.push_back(NodeOf(id));
+  return YoungestMember(members);
 }
 
 void WaitsForGraph::RemoveNode(TxnId id) {
@@ -131,12 +102,17 @@ void WaitsForGraph::RemoveNode(TxnId id) {
 std::vector<TxnId> WaitsForGraph::ResolveAllDeadlocks() {
   AuditInvariants();
   std::vector<TxnId> victims;
-  for (;;) {
-    auto cycle = FindAnyCycle();
-    if (cycle.empty()) break;
-    TxnId victim = YoungestOf(cycle);
+  // Search from each node in TxnId order; after every victim, start over.
+  for (std::size_t i = 0; i < nodes_.size();) {
+    const auto& cycle = SearchFrom(nodes_[i].id);
+    if (cycle.empty()) {
+      ++i;
+      continue;
+    }
+    TxnId victim = YoungestMember(cycle);
     victims.push_back(victim);
     RemoveNode(victim);
+    i = 0;
   }
   return victims;
 }

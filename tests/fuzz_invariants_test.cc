@@ -7,6 +7,9 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ccsim/cc/lock_table.h"
@@ -100,6 +103,177 @@ TEST_P(LockTableFuzz, RandomScheduleMaintainsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LockTableFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// --- Live deadlock search vs graph oracle ------------------------------------
+
+// Local deadlock detection searches the live lock table from the blocked
+// transaction. The oracle is the graph path it replaced: build a
+// WaitsForGraph from WaitsForEdges(), then FindCycleFrom + YoungestOf.
+// After every request that queues, both must name the same cycle (members
+// in the same order) and the same victim.
+enum class Schedule {
+  kUpgrades,         // 2PL: reads, writes and shared->exclusive upgrades
+  kQueueJump,        // the same under set_allow_queue_jump(true)
+  kPrepareUpgrades,  // 2PL-DW: shared locks, then every upgrade at once
+};
+
+std::string ScheduleName(Schedule s) {
+  switch (s) {
+    case Schedule::kUpgrades: return "Upgrades";
+    case Schedule::kQueueJump: return "QueueJump";
+    case Schedule::kPrepareUpgrades: return "PrepareUpgrades";
+  }
+  return "?";
+}
+
+class LockTableSearchFuzz
+    : public ::testing::TestWithParam<std::tuple<Schedule, std::uint64_t>> {
+ protected:
+  struct Player {
+    txn::TxnPtr txn;
+    std::map<int, LockMode> requested;  // page -> strongest mode requested
+    std::vector<std::pair<int, std::shared_ptr<sim::Completion<AccessOutcome>>>>
+        pending;  // (page, completion) of requests not yet granted
+    bool prepared = false;
+  };
+
+  // Compares the live search with the oracle from `t`. Returns the victim,
+  // or 0 when there is no cycle.
+  TxnId CheckSearch(LockTable& table, const txn::Transaction& t) {
+    WaitsForGraph graph;
+    graph.AddEdges(table.WaitsForEdges());
+    std::vector<TxnId> expected = graph.FindCycleFrom(t.id());
+    std::vector<TxnId> found;
+    const auto& cycle = table.FindCycleFrom(t);
+    for (const auto& member : cycle) found.push_back(member.id);
+    EXPECT_EQ(found, expected) << "search from txn " << t.id();
+    ++searches_;
+    if (expected.empty() || found != expected) return 0;
+    TxnId victim = cc::YoungestMember(cycle);
+    EXPECT_EQ(victim, graph.YoungestOf(expected));
+    ++cycles_;
+    return victim;
+  }
+
+  int searches_ = 0;
+  int cycles_ = 0;
+};
+
+TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
+  const auto [schedule, seed] = GetParam();
+  sim::Simulation sim;
+  LockTable table(&sim);
+  table.set_allow_queue_jump(schedule == Schedule::kQueueJump);
+  sim::RandomStream rng(seed, 3);
+
+  constexpr int kPlayers = 10;
+  constexpr int kPages = 6;
+  constexpr int kOps = 600;
+
+  TxnId next_id = 1;
+  int queued_upgrades = 0;
+  int multi_pending = 0;  // searches from a txn with several pending requests
+  std::vector<Player> players(kPlayers);
+  // A fresh transaction with a random start time, so the victim (youngest
+  // initial timestamp) is not simply the largest TxnId.
+  auto reincarnate = [&](Player& p) {
+    p = Player{};
+    p.txn = MakeTxn(next_id++, 1, {PageRef{0, 0}}, 0, rng.Uniform(0, 100));
+  };
+  for (Player& p : players) reincarnate(p);
+  auto forget_done = [](Player& p) {
+    auto& pend = p.pending;
+    pend.erase(std::remove_if(pend.begin(), pend.end(),
+                              [](const auto& e) { return e.second->done(); }),
+               pend.end());
+  };
+  auto finish = [&](Player& p) {
+    forget_done(p);
+    // A commit never leaves pending requests; an abort releases them too.
+    bool abort = !p.pending.empty() || rng.Bernoulli(0.5);
+    table.ReleaseAll(p.txn->id(), abort);
+    reincarnate(p);
+  };
+  // Issues one request and, if it queued, runs both searches; on a cycle,
+  // usually aborts the victim (as the manager does), sometimes leaves the
+  // deadlock for later searches to reach downstream.
+  auto request = [&](Player& p, int page, LockMode mode) {
+    auto result = table.Request(p.txn, PageRef{0, page}, mode);
+    auto [it, inserted] = p.requested.emplace(page, mode);
+    if (!inserted && mode == LockMode::kExclusive) it->second = mode;
+    if (result.granted_immediately) return;
+    if (table.HoldsLock(p.txn->id(), PageRef{0, page})) ++queued_upgrades;
+    p.pending.emplace_back(page, result.completion);
+    if (p.pending.size() > 1) ++multi_pending;
+    TxnId victim = CheckSearch(table, *p.txn);
+    if (victim == 0 || rng.Bernoulli(0.25)) return;
+    for (Player& q : players) {
+      if (q.txn->id() != victim) continue;
+      table.ReleaseAll(victim, /*abort_waiters=*/true);
+      reincarnate(q);
+    }
+  };
+
+  for (int op = 0; op < kOps; ++op) {
+    Player& p = players[static_cast<std::size_t>(
+        rng.UniformInt(0, kPlayers - 1))];
+    forget_done(p);
+    int kind = static_cast<int>(rng.UniformInt(0, 9));
+    if (kind == 0) {
+      finish(p);
+    } else if (kind == 1 && !p.pending.empty()) {
+      // Wait-die / timeout style cancellation leaves a stale key behind in
+      // the table's per-transaction key list.
+      table.CancelRequest(p.txn->id(), PageRef{0, p.pending.front().first});
+    } else if (schedule == Schedule::kPrepareUpgrades && kind == 2 &&
+               p.pending.empty() && !p.prepared) {
+      // Prepare: upgrade every shared lock at once, without waiting for
+      // the earlier upgrades - several requests pending together.
+      p.prepared = true;
+      const TxnId id = p.txn->id();
+      std::vector<int> pages;
+      for (const auto& [page, mode] : p.requested) pages.push_back(page);
+      for (int page : pages) {
+        if (p.txn->id() != id) break;  // aborted as an earlier victim
+        request(p, page, LockMode::kExclusive);
+      }
+    } else if (p.pending.empty() && !p.prepared) {
+      int page = static_cast<int>(rng.UniformInt(0, kPages - 1));
+      auto it = p.requested.find(page);
+      LockMode mode = schedule != Schedule::kPrepareUpgrades &&
+                              rng.Bernoulli(0.35)
+                          ? LockMode::kExclusive
+                          : LockMode::kShared;
+      if (it == p.requested.end()) {
+        request(p, page, mode);
+      } else if (schedule != Schedule::kPrepareUpgrades &&
+                 it->second == LockMode::kShared &&
+                 table.HoldsLock(p.txn->id(), PageRef{0, page})) {
+        request(p, page, LockMode::kExclusive);  // shared -> exclusive
+      }
+    }
+  }
+  for (Player& p : players) table.ReleaseAll(p.txn->id(), true);
+  EXPECT_EQ(table.num_locked_pages(), 0u);
+  EXPECT_EQ(table.num_waiting_requests(), 0u);
+  EXPECT_TRUE(table.WaitsForEdges().empty());
+  // The schedule must reach the cases it is meant to cover, or the
+  // comparison proves little.
+  EXPECT_GT(cycles_, 0) << searches_ << " searches";
+  EXPECT_GT(queued_upgrades, 0);
+  if (schedule == Schedule::kPrepareUpgrades) EXPECT_GT(multi_pending, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedules, LockTableSearchFuzz,
+    ::testing::Combine(::testing::Values(Schedule::kUpgrades,
+                                         Schedule::kQueueJump,
+                                         Schedule::kPrepareUpgrades),
+                       ::testing::Values(1u, 2u, 3u, 5u, 8u)),
+    [](const auto& info) {
+      return ScheduleName(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- Waits-for graph vs brute-force oracle -----------------------------------
 
