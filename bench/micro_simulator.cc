@@ -12,6 +12,7 @@
 #include "ccsim/net/network.h"
 #include "ccsim/resource/cpu.h"
 #include "ccsim/sim/calendar.h"
+#include "ccsim/sim/completion.h"
 #include "ccsim/sim/random.h"
 #include "ccsim/sim/simulation.h"
 #include "ccsim/workload/access_generator.h"
@@ -83,6 +84,30 @@ void BM_DelayWakeups(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(items));
 }
 BENCHMARK(BM_DelayWakeups);
+
+// Completion wakeups: one process awaits n completions in turn, and a
+// handler one time unit later fulfils each, so every wakeup is scheduled at
+// the current time (the calendar's same-time lane). BM_DelayWakeups covers
+// wakeups at a later time.
+void BM_CompletionWakeups(benchmark::State& state) {
+  const int wakeups = 4096;
+  std::uint64_t items = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    auto proc = [](sim::Simulation* s, int n) -> sim::Process {
+      for (int i = 0; i < n; ++i) {
+        auto c = sim::MakeCompletion<sim::Unit>(s);
+        s->After(1.0, [c] { c->Complete(sim::Unit{}); });
+        co_await sim::Await(c);
+      }
+    };
+    proc(&sim, wakeups);
+    sim.Run();
+    items += wakeups;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+}
+BENCHMARK(BM_CompletionWakeups);
 
 void BM_CpuProcessorSharing(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));

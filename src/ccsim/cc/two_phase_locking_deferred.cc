@@ -12,7 +12,7 @@ TwoPhaseLockingDeferredManager::TwoPhaseLockingDeferredManager(CcContext* ctx,
 
 std::shared_ptr<sim::Completion<AccessOutcome>>
 TwoPhaseLockingDeferredManager::RequestAccess(const txn::TxnPtr& txn,
-                                              int cohort_index,
+                                              int /*cohort_index*/,
                                               const PageRef& page,
                                               AccessMode mode) {
   if (mode == AccessMode::kWrite) {

@@ -22,8 +22,8 @@ struct FibHash {
 };
 
 /// Open-addressing hash map with linear probing and backward-shift deletion
-/// (same scheme as sim::SuspendedSet), storing slots inline in one flat
-/// array: no per-node heap allocation, ever. Replaces the per-page
+/// (no tombstones), storing slots inline in one flat array: no per-node heap
+/// allocation, ever. Replaces the per-page
 /// ordered-map / unordered-map nodes in the lock table and waits-for graph,
 /// where node churn dominated the megascale memory profile (DESIGN.md
 /// decision #12).
@@ -102,7 +102,8 @@ class FlatHashMap {
     slots_[i].~Slot();
     occupied_[i] = 0;
     // Backward-shift deletion: relocate displaced successors into the hole
-    // so probe chains stay intact (see sim::SuspendedSet::Erase).
+    // so probe chains stay intact. Successor j moves iff the hole lies
+    // cyclically within [home(j), j].
     std::size_t mask = capacity_ - 1;
     std::size_t hole = i;
     for (std::size_t j = (i + 1) & mask; occupied_[j]; j = (j + 1) & mask) {

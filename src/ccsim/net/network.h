@@ -94,11 +94,11 @@ class Network {
     /// kBandwidth a dropped attempt is lost *before* the wire, so it never
     /// occupies link capacity; only the attempt that goes through claims
     /// serialization time.
-    std::function<bool(NodeId from, NodeId to, MsgTag tag)> should_drop;
+    std::function<bool(NodeId from, NodeId to, MsgTag tag)> should_drop{};
     /// False = `node` is crashed. A message arriving at a down node vanishes
     /// (no retransmission helps until recovery; protocol timeouts and the
     /// crash-draining logic resolve the wait instead). Null = always up.
-    std::function<bool(NodeId node)> node_up;
+    std::function<bool(NodeId node)> node_up{};
     /// Retransmissions per message after the initial attempt; a message
     /// whose attempts are exhausted is counted lost and never delivered.
     int max_retries = 0;

@@ -9,8 +9,8 @@
 #define CCSIM_ARENA_UNPOISON(addr, size) \
   ASAN_UNPOISON_MEMORY_REGION(addr, size)
 #else
-#define CCSIM_ARENA_POISON(addr, size) ((void)0)
-#define CCSIM_ARENA_UNPOISON(addr, size) ((void)0)
+#define CCSIM_ARENA_POISON(addr, size) ((void)(addr), (void)(size))
+#define CCSIM_ARENA_UNPOISON(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace ccsim::sim {

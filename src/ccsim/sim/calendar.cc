@@ -340,16 +340,23 @@ Calendar::EventId Calendar::Schedule(SimTime time, EventFn fn) {
 }
 
 // ccsim-analyze: hot-path(every coroutine wakeup funnels here)
-Calendar::EventId Calendar::ScheduleResume(SimTime time,
-                                           std::coroutine_handle<> h) {
+void Calendar::ScheduleResume(SimTime time, std::coroutine_handle<> h,
+                              std::uint32_t token) {
+  CCSIM_CHECK_MSG(h != nullptr, "wakeup scheduled for a null coroutine");
+  if (time == last_fired_) {
+    CCSIM_CHECK_MSG(next_seq_ < kMaxSeq, "calendar event seq space exhausted");
+    lane_.push_back(LaneEntry{next_seq_++, h, token});
+    MaybeAudit();
+    return;
+  }
   CCSIM_CHECK_MSG(time == time, "wakeup scheduled at NaN time");
   CCSIM_CHECK_MSG(time < kNever, "wakeup scheduled at infinite time");
   CCSIM_CHECK_MSG(time >= last_fired_,
                   "wakeup scheduled in the simulated past");
-  CCSIM_CHECK_MSG(h != nullptr, "wakeup scheduled for a null coroutine");
   std::uint32_t slot = AllocSlot();
   slots_[slot].resume = h;
-  return ScheduleSlot(time, slot);
+  slots_[slot].token = token;
+  ScheduleSlot(time, slot);
 }
 
 // ccsim-analyze: hot-path(fired per timeout rearm; lazy cancel keeps it O(1))
@@ -383,8 +390,33 @@ bool Calendar::Cancel(EventId id) {
   return true;
 }
 
+bool Calendar::LadderHeadPrecedesLane() {
+  // next_time_ is the exact ladder minimum and never below last_fired_, so a
+  // ladder head that is not at the lane's time is later (or absent).
+  if (next_time_ != last_fired_) return false;
+  std::uint64_t seq;
+  if (solo_valid_) {
+    seq = solo_.seq();
+  } else {
+    if (!head_valid_) RefreshHead(&head_);
+    seq = rungs_[head_.rung].buckets[head_.bucket][head_.index].seq();
+  }
+  return seq < lane_[lane_head_].seq;
+}
+
 // ccsim-analyze: hot-path(the event-loop dequeue; runs once per event)
 std::optional<Calendar::Fired> Calendar::PopNext() {
+  if (!lane_.empty() && !LadderHeadPrecedesLane()) {
+    const LaneEntry& le = lane_[lane_head_];
+    Fired fired{last_fired_, EventKind::kResume, EventFn(), le.resume,
+                le.token};
+    if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+    MaybeAudit();
+    return fired;
+  }
   Entry e;
   if (solo_valid_) {
     e = solo_;
@@ -396,9 +428,9 @@ std::optional<Calendar::Fired> Calendar::PopNext() {
   }
   Slot& s = slots_[e.slot()];
   CCSIM_DCHECK_MSG(s.pending_seq == e.seq(), "calendar head was not live");
-  Fired fired{e.time, MakeId(s.gen, e.slot()),
+  Fired fired{e.time,
               s.resume != nullptr ? EventKind::kResume : EventKind::kHandler,
-              std::move(s.fn), s.resume};
+              std::move(s.fn), s.resume, s.token};
   FreeSlot(e.slot());
   --live_;
   CCSIM_DCHECK_MSG(e.time >= last_fired_, "simulated time ran backwards");
@@ -505,6 +537,20 @@ void Calendar::AuditInvariants() const {
     CCSIM_DCHECK_MSG(!head_valid_, "cached head alongside the solo register");
     check_entry(solo_);
     CCSIM_DCHECK_MSG(EntryLive(solo_), "solo register holds a dead event");
+  }
+  // The lane: pending entries in strictly increasing issued seqs (its FIFO
+  // order is the (time, seq) order), each with a handle, reset when drained.
+  CCSIM_DCHECK_MSG(lane_head_ < lane_.size() || lane_head_ == 0,
+                   "drained same-time lane was not reset");
+  std::uint64_t prev_seq = 0;
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    const LaneEntry& le = lane_[i];
+    CCSIM_DCHECK_MSG(le.seq > prev_seq, "same-time lane out of seq order");
+    CCSIM_DCHECK_MSG(le.seq < next_seq_, "lane entry with unissued seq");
+    CCSIM_DCHECK_MSG(seqs.insert(le.seq).second,
+                     "duplicate insertion seq in the calendar");
+    CCSIM_DCHECK_MSG(le.resume != nullptr, "lane entry with a null handle");
+    prev_seq = le.seq;
   }
   CCSIM_DCHECK_MSG(live_seen == live_,
                    "live-event count out of sync with the calendar");

@@ -45,6 +45,16 @@ enum class EventKind : std::uint8_t {
 /// scanned. The exact next event time is cached on every mutation, so
 /// NextTime() is a pure read.
 ///
+/// Same-time lane: a wakeup scheduled at the time of the last fired event —
+/// every Completion wakeup, half of all events in a paper-shaped run — skips
+/// the slab and the ladder and is appended to a FIFO lane of (seq, handle,
+/// token) records. The merge stays exact: every lane entry has time
+/// last_fired_, seqs are issued in increasing order so the lane is sorted,
+/// and a lane front loses only to a ladder head at that same time with a
+/// smaller seq. A later ladder event never wins while the lane is non-empty,
+/// so last_fired_ cannot advance past a lane entry and the pop sequence is
+/// the same (time, seq) order a single queue would give.
+///
 /// Contract: events must not be scheduled earlier than the last fired event
 /// (simulated time is monotone; Simulation::At already enforces
 /// time >= Now()).
@@ -65,10 +75,10 @@ class Calendar {
 
   struct Fired {
     SimTime time;
-    EventId id;
     EventKind kind;
     EventFn fn;                      // engaged iff kind == kHandler
     std::coroutine_handle<> resume;  // valid  iff kind == kResume
+    std::uint32_t token = 0;         // the wakeup's registry token (kResume)
   };
 
   Calendar() = default;
@@ -79,11 +89,14 @@ class Calendar {
   /// be used to cancel the event before it fires.
   EventId Schedule(SimTime time, EventFn fn);
 
-  /// Schedules a coroutine wakeup at absolute time `time`. The calendar does
-  /// not own the coroutine frame; the caller (the Simulation's suspended-
-  /// process registry) remains responsible for destroying frames whose
-  /// wakeup never fires.
-  EventId ScheduleResume(SimTime time, std::coroutine_handle<> h);
+  /// Schedules a coroutine wakeup at absolute time `time`; `token` is handed
+  /// back in the Fired record. The calendar does not own the coroutine frame;
+  /// the caller (the Simulation's suspended-process registry, which issued
+  /// the token) remains responsible for destroying frames whose wakeup never
+  /// fires. Wakeups cannot be cancelled, so no id is returned. A wakeup at
+  /// the time of the last fired event goes to the same-time lane.
+  void ScheduleResume(SimTime time, std::coroutine_handle<> h,
+                      std::uint32_t token);
 
   /// Cancels a pending event. Returns true if the event was still pending;
   /// false for ids that already fired or were already cancelled (the
@@ -95,20 +108,26 @@ class Calendar {
 
   /// Time of the earliest pending event, or kNever if the calendar is empty.
   /// Pure read: the value is kept exact across every mutation.
-  SimTime NextTime() const { return next_time_; }
+  SimTime NextTime() const {
+    return lane_.empty() ? next_time_ : last_fired_;
+  }
 
-  /// Number of live (non-cancelled) pending events.
-  std::size_t size() const { return live_; }
-  bool empty() const { return live_ == 0; }
+  /// Number of live (non-cancelled) pending events, lane entries included.
+  std::size_t size() const { return live_ + lane_size(); }
+  bool empty() const { return size() == 0; }
+
+  /// Wakeups waiting in the same-time lane.
+  std::size_t lane_size() const { return lane_.size() - lane_head_; }
 
   /// Capacity diagnostics: slots ever allocated (high-water mark of
-  /// concurrently pending events).
+  /// concurrently pending ladder events).
   std::size_t slot_capacity() const { return slots_.size(); }
 
   /// Audit-mode sweep: every bucket entry sits in the bucket its time maps
   /// to, occupancy bitmaps and counts match bucket contents, live entries
   /// and free-listed slots partition the slab, no live event is earlier than
-  /// the last one fired, and the cached next-time equals the true minimum.
+  /// the last one fired, the cached next-time equals the true minimum, and
+  /// the lane holds non-null handles in strictly increasing issued seqs.
   /// No-op unless built with CCSIM_AUDIT; throttled internally because it is
   /// O(pending events).
   void AuditInvariants() const;
@@ -150,6 +169,7 @@ class Calendar {
     EventFn fn;                                // engaged iff handler event
     std::coroutine_handle<> resume = nullptr;  // set iff resume event
     SimTime time = 0.0;                        // scheduled fire time
+    std::uint32_t token = 0;                   // registry token if resume
     // Seq of the event currently occupying this slot (0 = none): the
     // liveness test for bucket entries. Distinct from `gen`, which validates
     // EventIds across slot reuse.
@@ -185,6 +205,13 @@ class Calendar {
     std::size_t rung;
     std::uint32_t bucket;
     std::size_t index;
+  };
+
+  // A same-time wakeup: its time is last_fired_, so only the seq is kept.
+  struct LaneEntry {
+    std::uint64_t seq;
+    std::coroutine_handle<> resume;
+    std::uint32_t token;
   };
 
   static constexpr EventId MakeId(std::uint32_t gen, std::uint32_t slot) {
@@ -233,6 +260,9 @@ class Calendar {
   // calendar is empty. Amortized O(1).
   bool RefreshHead(Head* head);
   void RemoveAt(const Head& head);
+  // True when the ladder's earliest event ties the lane front at last_fired_
+  // and was scheduled before it. Requires a non-empty lane.
+  bool LadderHeadPrecedesLane();
   void MaybeAudit();
 
   std::vector<Rung> rungs_ = std::vector<Rung>(kMaxRungs);  // pooled stack
@@ -257,15 +287,21 @@ class Calendar {
   Entry solo_{};
   bool solo_valid_ = false;
 
+  // The same-time lane: pending entries are lane_[lane_head_..]. Reset (not
+  // shrunk) when drained, so a non-empty vector means a non-empty lane, and
+  // it stops allocating at its high-water mark.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
+
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  std::size_t live_ = 0;
+  std::size_t live_ = 0;  // live ladder events (the lane is counted apart)
   // Cancelled entries still physically present in buckets/overflow. With
   // live_ == 0 && dead_ == 0 the ladder is known empty without a walk.
   std::size_t dead_ = 0;
   std::uint64_t next_seq_ = 1;
   SimTime last_fired_ = 0.0;
-  SimTime next_time_ = kNever;  // exact earliest live time, kNever if empty
+  SimTime next_time_ = kNever;  // exact earliest live ladder time, or kNever
   double last_gap_ = 1.0;       // last positive inter-fire gap (width hint)
   // Operations since the last audit sweep (audit builds only).
   std::uint64_t audit_tick_ = 0;

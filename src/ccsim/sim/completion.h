@@ -38,17 +38,18 @@ class Completion {
     if (waiter_) {
       auto h = waiter_;
       waiter_ = nullptr;
-      sim_->ResumeLater(h);
+      sim_->ResumeLater(h, token_);
     }
   }
 
   // Internal interface used by the awaiter. Registers the waiter with the
   // simulation's suspended-process registry so the frame is destroyed (not
-  // leaked) if the run ends before this completion is fulfilled.
+  // leaked) if the run ends before this completion is fulfilled; the token
+  // is kept for the wakeup.
   void SetWaiter(std::coroutine_handle<> h) {
     CCSIM_CHECK_MSG(!waiter_, "Completion awaited twice");
     waiter_ = h;
-    sim_->NoteSuspended(h);
+    token_ = sim_->NoteSuspended(h);
   }
   T TakeValue() {
     CCSIM_CHECK(value_.has_value());
@@ -58,6 +59,7 @@ class Completion {
  private:
   Simulation* sim_;
   std::optional<T> value_;
+  Simulation::SuspendToken token_ = 0;  // waiter_'s registry token
   std::coroutine_handle<> waiter_ = nullptr;
 };
 

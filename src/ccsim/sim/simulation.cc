@@ -72,9 +72,11 @@ void Simulation::DumpDiagnostics(std::FILE* out) const {
   std::fprintf(out, "--- ccsim simulation diagnostic dump ---\n");
   std::fprintf(out, "sim clock: %.9f s\n", now_);
   std::fprintf(out, "events fired: %" PRIu64 "\n", events_fired_);
-  std::fprintf(out, "pending events: %zu (next at %.9f s)\n", calendar_.size(),
-               calendar_.NextTime());
-  std::fprintf(out, "suspended processes: %zu\n", suspended_.size());
+  std::fprintf(out,
+               "pending events: %zu (next at %.9f s; same-time lane: %zu)\n",
+               calendar_.size(), calendar_.NextTime(), calendar_.lane_size());
+  std::fprintf(out, "suspended processes: %zu (registry slab: %zu cells)\n",
+               suspended_.size(), suspended_.capacity());
   std::fprintf(out, "last progress (commit) at: %.9f s%s\n", last_progress_,
                watchdog_.max_stall > 0.0 ? "" : " (stall watchdog off)");
   if (in_event_) {

@@ -18,112 +18,73 @@
 
 namespace ccsim::sim {
 
-/// The suspended-process registry: an open-addressing set of coroutine
-/// handles keyed by frame address. A plain hash set (instead of std::map)
-/// because every process suspension inserts and every wakeup erases — with
-/// node-based containers that is a malloc/free pair per wakeup, which would
-/// be the last allocation left on the simulation hot path. The table grows
-/// to the high-water mark of concurrently suspended processes and is then
-/// allocation-free. Erasure uses backward-shift deletion (no tombstones).
+/// The suspended-process registry: a slab of coroutine handles indexed by a
+/// token. Insert hands out the token of the cell it filled, and the token
+/// travels with the wakeup, so the wakeup's Erase is one indexed store: no
+/// hashing, no probing. Freed cells are reused last-in first-out. The slab
+/// and its free list grow to the high-water mark of concurrently suspended
+/// processes and are then allocation-free.
 class SuspendedSet {
  public:
-  void Insert(std::coroutine_handle<> h) {
+  using Token = std::uint32_t;
+
+  Token Insert(std::coroutine_handle<> h) {
     CCSIM_CHECK_MSG(h != nullptr, "suspended a null coroutine");
-    if ((count_ + 1) * 4 > cells_.size() * 3) Grow();
-    std::size_t i = Probe(h.address());
-    CCSIM_CHECK_MSG(cells_[i].addr == nullptr,
-                    "process suspended while already suspended");
-    cells_[i] = Cell{h.address(), h};
-    ++count_;
-  }
-
-  /// Removes the handle for `addr`; returns true if it was present.
-  bool Erase(void* addr) {
-    if (count_ == 0) return false;
-    std::size_t i = Probe(addr);
-    if (cells_[i].addr == nullptr) return false;
-    // Backward-shift deletion: close the gap so probe chains stay intact.
-    std::size_t mask = cells_.size() - 1;
-    std::size_t hole = i;
-    for (std::size_t j = (i + 1) & mask; cells_[j].addr != nullptr;
-         j = (j + 1) & mask) {
-      std::size_t home = Hash(cells_[j].addr) & mask;
-      // Shift j into the hole iff the hole lies within [home, j] cyclically.
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        cells_[hole] = cells_[j];
-        hole = j;
-      }
+    if (free_.empty()) {
+      cells_.push_back(h);
+      return static_cast<Token>(cells_.size() - 1);
     }
-    cells_[hole] = Cell{};
-    --count_;
-    return true;
+    Token t = free_.back();
+    free_.pop_back();
+    cells_[t] = h;
+    return t;
   }
 
-  std::size_t size() const { return count_; }
+  /// Releases `t`, which must be the live token of `h`: a stale token or a
+  /// handle registered under another token is a fatal error.
+  void Erase(Token t, std::coroutine_handle<> h) {
+    CCSIM_CHECK_MSG(t < cells_.size() && cells_[t] == h && h != nullptr,
+                    "resumed a process not registered under its token");
+    cells_[t] = nullptr;
+    free_.push_back(t);
+  }
 
-  /// Moves every handle out (teardown). Iteration order follows the table,
-  /// i.e. frame-address hashes; the relative destruction order of leaked
-  /// frames is unobservable (frames are destroyed after the run, and frame
-  /// locals are plain data — see Process).
+  std::size_t size() const { return cells_.size() - free_.size(); }
+
+  /// Cells ever allocated (high-water mark of concurrently suspended
+  /// processes).
+  std::size_t capacity() const { return cells_.size(); }
+
+  /// Moves every handle out (teardown), in token order, and empties the
+  /// registry.
   std::vector<std::coroutine_handle<>> TakeAll() {
     std::vector<std::coroutine_handle<>> out;
-    out.reserve(count_);
-    for (Cell& c : cells_) {
-      if (c.addr != nullptr) out.push_back(c.h);
-      c = Cell{};
+    out.reserve(size());
+    for (std::coroutine_handle<> h : cells_) {
+      if (h != nullptr) out.push_back(h);
     }
-    count_ = 0;
+    cells_.clear();
+    free_.clear();
     return out;
   }
 
  private:
-  struct Cell {
-    void* addr = nullptr;
-    std::coroutine_handle<> h;
-  };
-
-  static std::size_t Hash(void* p) {
-    // Fibonacci hash of the frame address; low bits of heap pointers are
-    // aligned away, so mix before masking.
-    auto v = reinterpret_cast<std::uintptr_t>(p);
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(v) >> 4) * 0x9e3779b97f4a7c15ull >> 16);
-  }
-
-  /// Index of `addr`'s cell, or of the empty cell where it would go.
-  std::size_t Probe(void* addr) const {
-    std::size_t mask = cells_.size() - 1;
-    std::size_t i = Hash(addr) & mask;
-    while (cells_[i].addr != nullptr && cells_[i].addr != addr) {
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  void Grow() {
-    std::vector<Cell> old = std::move(cells_);
-    cells_.assign(old.empty() ? 16 : old.size() * 2, Cell{});
-    for (const Cell& c : old) {
-      if (c.addr == nullptr) continue;
-      std::size_t i = Probe(c.addr);
-      cells_[i] = c;
-    }
-  }
-
-  std::vector<Cell> cells_ = std::vector<Cell>(16);
-  std::size_t count_ = 0;
+  std::vector<std::coroutine_handle<>> cells_;  // null = free
+  std::vector<Token> free_;                     // LIFO free list
 };
 
 /// The simulation executive: owns the clock and the event calendar and runs
 /// the event loop. Single-threaded and deterministic.
 ///
 /// Process wakeups (Delay, ResumeLater, and through them every Completion)
-/// are scheduled as bare coroutine handles in the calendar's resume slots —
-/// no closure is allocated anywhere on the wakeup path.
+/// are scheduled as bare coroutine handles plus registry tokens in the
+/// calendar — no closure is allocated anywhere on the wakeup path, and a
+/// wakeup at the current time takes the calendar's same-time lane.
 class Simulation {
  public:
   using EventId = Calendar::EventId;
   using Handler = EventFn;
+  using SuspendToken = SuspendedSet::Token;
   static constexpr EventId kInvalidEventId = Calendar::kInvalidEventId;
 
   Simulation() = default;
@@ -233,8 +194,8 @@ class Simulation {
     DelayAwaitable(Simulation* sim, SimTime dt) : sim_(sim), dt_(dt) {}
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      sim_->NoteSuspended(h);
-      sim_->ScheduleResume(sim_->now_ + dt_, h);
+      SuspendToken token = sim_->NoteSuspended(h);
+      sim_->ScheduleResume(sim_->now_ + dt_, h, token);
     }
     void await_resume() const noexcept {}
 
@@ -251,9 +212,12 @@ class Simulation {
 
   /// Resumes a suspended coroutine through the calendar at the current time.
   /// This is the only sanctioned way for facilities to wake a process. The
-  /// handle must already be in the suspended-process registry (Completion's
-  /// SetWaiter and DelayAwaitable both register before scheduling).
-  void ResumeLater(std::coroutine_handle<> h) { ScheduleResume(now_, h); }
+  /// handle must already be in the suspended-process registry under `token`
+  /// (Completion's SetWaiter and DelayAwaitable both register before
+  /// scheduling).
+  void ResumeLater(std::coroutine_handle<> h, SuspendToken token) {
+    ScheduleResume(now_, h, token);
+  }
 
   // --- Suspended-process registry --------------------------------------
   //
@@ -263,12 +227,16 @@ class Simulation {
   // will ever resume again; the Simulation destroys those frames so a run
   // that ends mid-flight (RunUntil) leaks nothing.
 
-  /// Records a coroutine as suspended, pending a calendar resume.
-  void NoteSuspended(std::coroutine_handle<> h) { suspended_.Insert(h); }
+  /// Records a coroutine as suspended, pending a calendar resume. The
+  /// returned token must accompany the wakeup.
+  SuspendToken NoteSuspended(std::coroutine_handle<> h) {
+    return suspended_.Insert(h);
+  }
 
   /// Resumes a registered coroutine (drops it from the registry first).
-  void ResumeSuspended(std::coroutine_handle<> h) {
-    suspended_.Erase(h.address());
+  /// Fatal unless `token` is the live registration of `h`.
+  void ResumeSuspended(std::coroutine_handle<> h, SuspendToken token) {
+    suspended_.Erase(token, h);
     h.resume();
   }
 
@@ -285,16 +253,17 @@ class Simulation {
 
  private:
   /// Schedules a registered coroutine wakeup at absolute time `time`.
-  void ScheduleResume(SimTime time, std::coroutine_handle<> h) {
+  void ScheduleResume(SimTime time, std::coroutine_handle<> h,
+                      SuspendToken token) {
     CCSIM_CHECK_MSG(time >= now_, "wakeup scheduled in the past");
-    calendar_.ScheduleResume(time, h);
+    calendar_.ScheduleResume(time, h, token);
   }
 
   /// Fires one popped event: either invoke its handler or resume its
   /// coroutine.
   void Dispatch(Calendar::Fired& fired) {
     if (fired.kind == EventKind::kResume) {
-      ResumeSuspended(fired.resume);
+      ResumeSuspended(fired.resume, fired.token);
     } else {
       fired.fn();
     }

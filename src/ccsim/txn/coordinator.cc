@@ -358,6 +358,7 @@ void CoordinatorService::OnPhaseTimeout(const TxnPtr& txn, int attempt) {
       break;
     case TxnPhase::kRestartWait:
     case TxnPhase::kCommitted:
+    case TxnPhase::kAbandoned:
       break;  // already resolved; stray timer
   }
 }
@@ -464,7 +465,8 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
       }
       case TxnPhase::kRestartWait:
       case TxnPhase::kCommitted:
-        break;
+      case TxnPhase::kAbandoned:
+        break;  // already resolved
     }
   }
 }

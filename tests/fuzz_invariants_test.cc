@@ -261,7 +261,9 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
   // comparison proves little.
   EXPECT_GT(cycles_, 0) << searches_ << " searches";
   EXPECT_GT(queued_upgrades, 0);
-  if (schedule == Schedule::kPrepareUpgrades) EXPECT_GT(multi_pending, 0);
+  if (schedule == Schedule::kPrepareUpgrades) {
+    EXPECT_GT(multi_pending, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,8 +4,9 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -177,43 +178,77 @@ class Lcg {
   std::uint64_t state_;
 };
 
-TEST(SuspendedSet, InsertEraseStressMatchesReferenceSet) {
-  // Hammer the open-addressing table (with its backward-shift deletion)
-  // against std::unordered_set over a pool of real coroutine frames.
+TEST(SuspendedSet, InsertEraseStressMatchesReferenceMapWithTokenReuse) {
+  // Random suspend/resume traffic over a pool of real coroutine frames,
+  // checked against a reference token -> frame map. Tokens must be reused
+  // last-freed first, and the slab must stop growing at the high-water mark.
   std::vector<TinyTask> pool;
   pool.reserve(300);
   for (int i = 0; i < 300; ++i) pool.push_back(Nop());
 
   SuspendedSet set;
-  std::unordered_set<void*> ref;
+  std::map<SuspendedSet::Token, std::size_t> ref;  // token -> pool index
+  std::vector<bool> registered(pool.size(), false);
+  std::vector<SuspendedSet::Token> freed;  // reference LIFO free list
+  std::size_t high_water = 0;
+  int reused = 0;
   Lcg rng(7);
   for (int step = 0; step < 30000; ++step) {
-    auto& task = pool[rng.Next() % pool.size()];
-    void* addr = task.handle.address();
-    if (ref.count(addr) != 0) {
-      EXPECT_TRUE(set.Erase(addr));
-      ref.erase(addr);
-    } else if (rng.Next() % 3 == 0) {
-      EXPECT_FALSE(set.Erase(addr));
+    // Drift between a mostly-empty and a mostly-full registry so the slab
+    // both grows and recycles.
+    bool fill = (step / 2000) % 2 == 0;
+    bool erase = fill ? rng.Next() % 3 == 0 : rng.Next() % 3 != 0;
+    if (!ref.empty() && erase) {
+      auto it = ref.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.Next() % ref.size()));
+      set.Erase(it->first, pool[it->second].handle);
+      registered[it->second] = false;
+      freed.push_back(it->first);
+      ref.erase(it);
     } else {
-      set.Insert(task.handle);
-      ref.insert(addr);
+      std::size_t k = rng.Next() % pool.size();
+      if (registered[k]) continue;
+      SuspendedSet::Token t = set.Insert(pool[k].handle);
+      if (freed.empty()) {
+        EXPECT_EQ(t, high_water);  // a fresh cell at the end of the slab
+        ++high_water;
+      } else {
+        EXPECT_EQ(t, freed.back());  // the last token freed
+        freed.pop_back();
+        ++reused;
+      }
+      ASSERT_TRUE(ref.emplace(t, k).second) << "token " << t << " issued twice";
+      registered[k] = true;
     }
     ASSERT_EQ(set.size(), ref.size());
+    ASSERT_EQ(set.capacity(), high_water);
   }
-  // Drain and verify the survivors are exactly the reference contents.
-  std::unordered_set<void*> drained;
-  for (auto h : set.TakeAll()) drained.insert(h.address());
-  EXPECT_EQ(drained, ref);
+  EXPECT_GT(reused, 1000);
+  // Drain: the survivors, in token order, are exactly the reference.
+  std::vector<void*> want;
+  for (const auto& [t, k] : ref) want.push_back(pool[k].handle.address());
+  std::vector<void*> drained;
+  for (auto h : set.TakeAll()) drained.push_back(h.address());
+  EXPECT_EQ(drained, want);
   EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.Insert(pool[0].handle), 0u);  // a drained slab starts over
   for (auto& task : pool) task.handle.destroy();
 }
 
-TEST(SuspendedSet, EraseOnEmptyIsFalse) {
+TEST(SuspendedSetDeathTest, StaleTokenOrMismatchedHandleIsFatal) {
+  TinyTask a = Nop();
+  TinyTask b = Nop();
   SuspendedSet set;
-  int dummy;
-  EXPECT_FALSE(set.Erase(&dummy));
-  EXPECT_TRUE(set.TakeAll().empty());
+  SuspendedSet::Token ta = set.Insert(a.handle);
+  SuspendedSet::Token tb = set.Insert(b.handle);
+  EXPECT_DEATH(set.Erase(ta, b.handle), "not registered under its token");
+  EXPECT_DEATH(set.Erase(tb + 1, b.handle), "not registered under its token");
+  set.Erase(ta, a.handle);
+  EXPECT_DEATH(set.Erase(ta, a.handle), "not registered under its token");
+  EXPECT_EQ(set.size(), 1u);
+  set.Erase(tb, b.handle);
+  a.handle.destroy();
+  b.handle.destroy();
 }
 
 }  // namespace

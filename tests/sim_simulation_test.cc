@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ccsim/sim/completion.h"
@@ -148,6 +149,30 @@ TEST(Completion, ResumptionGoesThroughCalendarAtCurrentTime) {
   EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(got, (std::vector<int>{1}));
   EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
+}
+
+Process AwaitThenRecord(std::shared_ptr<Completion<int>> c,
+                        std::vector<std::string>* order) {
+  (void)co_await Await(std::move(c));
+  order->push_back("waiter");
+}
+
+// A wakeup at the current time (the calendar's same-time lane) fires in
+// schedule order among handlers scheduled at that same instant.
+TEST(Completion, WakeupKeepsScheduleOrderAmongSameTimeHandlers) {
+  Simulation sim;
+  auto c = MakeCompletion<int>(&sim);
+  std::vector<std::string> order;
+  AwaitThenRecord(c, &order);
+  sim.At(1.0, [&] {
+    sim.At(sim.Now(), [&] { order.push_back("A"); });
+    c->Complete(1);
+    sim.At(sim.Now(), [&] { order.push_back("B"); });
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"A", "waiter", "B"}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
+  EXPECT_EQ(sim.suspended_processes(), 0u);
 }
 
 TEST(CompletionDeathTest, DoubleCompleteIsFatal) {
