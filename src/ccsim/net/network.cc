@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "ccsim/sim/check.h"
-#include "ccsim/sim/completion.h"
 
 namespace ccsim::net {
 
@@ -77,15 +76,10 @@ void Network::Send(NodeId from, NodeId to, MsgTag tag, sim::EventFn deliver,
     Batch* b = AcquireBatch(from, to, tag, bytes, std::move(deliver));
     open_batches_.TryEmplace(key, b);
     ++batches_sent_;
-    auto send_done = cpus_[static_cast<std::size_t>(from)]->Execute(
-        inst_per_msg_, resource::CpuJobClass::kMessage);
-    BatchProcess(b, std::move(send_done));
+    BatchProcess(b);
     return;
   }
-  auto send_done = cpus_[static_cast<std::size_t>(from)]->Execute(
-      inst_per_msg_, resource::CpuJobClass::kMessage);
-  DeliverProcess(from, to, tag, std::move(deliver), bytes,
-                 std::move(send_done));
+  DeliverProcess(from, to, tag, std::move(deliver), bytes);
 }
 
 // ccsim-analyze: hot-path(runs once per wire transmission; link state lives in a FlatHashMap, no node allocation)
@@ -119,10 +113,12 @@ double Network::WireDelay(NodeId from, NodeId to, double bytes) {
   return 0.0;
 }
 
-sim::Process Network::DeliverProcess(
-    NodeId from, NodeId to, MsgTag tag, sim::EventFn deliver, double bytes,
-    std::shared_ptr<sim::Completion<sim::Unit>> send_done) {
-  co_await sim::Await(std::move(send_done));
+sim::Process Network::DeliverProcess(NodeId from, NodeId to, MsgTag tag,
+                                     sim::EventFn deliver, double bytes) {
+  // The sender's CPU charge. Starting this process schedules no event
+  // before it, so the charge is queued at the point of the Send call.
+  co_await cpus_[static_cast<std::size_t>(from)]->Execute(
+      inst_per_msg_, resource::CpuJobClass::kMessage);
   if (faults_.should_drop) {
     int attempt = 0;
     while (faults_.should_drop(from, to, tag)) {
@@ -143,8 +139,8 @@ sim::Process Network::DeliverProcess(
       ++total_sent_;
       ++counts_[static_cast<std::size_t>(tag)];
       if (net_.model != config::NetModel::kSwitch) bytes_sent_ += bytes;
-      co_await sim::Await(cpus_[static_cast<std::size_t>(from)]->Execute(
-          inst_per_msg_, resource::CpuJobClass::kMessage));
+      co_await cpus_[static_cast<std::size_t>(from)]->Execute(
+          inst_per_msg_, resource::CpuJobClass::kMessage);
     }
   }
   if (faults_.node_up && !faults_.node_up(to)) {
@@ -169,15 +165,16 @@ sim::Process Network::DeliverProcess(
     deliver();
     co_return;
   }
-  co_await sim::Await(cpus_[static_cast<std::size_t>(to)]->Execute(
-      inst_per_msg_, resource::CpuJobClass::kMessage));
+  co_await cpus_[static_cast<std::size_t>(to)]->Execute(
+      inst_per_msg_, resource::CpuJobClass::kMessage);
   deliver();
 }
 
 // ccsim-analyze: hot-path(batch flush: one wire transmission for every coalesced message; batches recycle through a free list)
-sim::Process Network::BatchProcess(
-    Batch* b, std::shared_ptr<sim::Completion<sim::Unit>> send_done) {
-  co_await sim::Await(std::move(send_done));
+sim::Process Network::BatchProcess(Batch* b) {
+  // The opening send's CPU charge, queued as in DeliverProcess.
+  co_await cpus_[static_cast<std::size_t>(b->from)]->Execute(
+      inst_per_msg_, resource::CpuJobClass::kMessage);
   // The opening send's CPU charge is done: seal the batch so later sends to
   // this destination open a fresh one.
   open_batches_.Erase(LinkKey(b->from, b->to));
@@ -200,8 +197,8 @@ sim::Process Network::BatchProcess(
       ++total_sent_;
       ++counts_[static_cast<std::size_t>(b->tag)];
       if (net_.model != config::NetModel::kSwitch) bytes_sent_ += b->bytes;
-      co_await sim::Await(cpus_[static_cast<std::size_t>(from)]->Execute(
-          inst_per_msg_, resource::CpuJobClass::kMessage));
+      co_await cpus_[static_cast<std::size_t>(from)]->Execute(
+          inst_per_msg_, resource::CpuJobClass::kMessage);
     }
   }
   if (faults_.node_up && !faults_.node_up(to)) {
@@ -220,8 +217,8 @@ sim::Process Network::BatchProcess(
   if (net_.model != config::NetModel::kRdma) {
     // One receiver charge for the whole batch: the riders' lock grants and
     // 2PC votes are piggybacked fields of a single wire message.
-    co_await sim::Await(cpus_[static_cast<std::size_t>(to)]->Execute(
-        inst_per_msg_, resource::CpuJobClass::kMessage));
+    co_await cpus_[static_cast<std::size_t>(to)]->Execute(
+        inst_per_msg_, resource::CpuJobClass::kMessage);
   }
   for (auto& deliver : b->delivers) deliver();
   ReleaseBatch(b);

@@ -189,12 +189,11 @@ class Network {
   // The two delivery coroutines share their retransmission/crash structure
   // inline (sim::Process is fire-and-forget; there is no awaitable
   // sub-coroutine type, and resuming a parent inline would break the
-  // resume-through-the-calendar ownership rule of process.h).
-  sim::Process DeliverProcess(
-      NodeId from, NodeId to, MsgTag tag, sim::EventFn deliver, double bytes,
-      std::shared_ptr<sim::Completion<sim::Unit>> send_done);
-  sim::Process BatchProcess(
-      Batch* b, std::shared_ptr<sim::Completion<sim::Unit>> send_done);
+  // resume-through-the-calendar ownership rule of process.h). Each one's
+  // first await is the sender's CPU charge.
+  sim::Process DeliverProcess(NodeId from, NodeId to, MsgTag tag,
+                              sim::EventFn deliver, double bytes);
+  sim::Process BatchProcess(Batch* b);
 
   sim::Simulation* sim_;
   std::vector<resource::Cpu*> cpus_;

@@ -1,6 +1,6 @@
 #include "ccsim/resource/cpu.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "ccsim/sim/check.h"
 
@@ -16,32 +16,27 @@ Cpu::Cpu(sim::Simulation* sim, double mips) : sim_(sim), mips_(mips) {
   CCSIM_CHECK(mips > 0.0);
 }
 
-std::shared_ptr<sim::Completion<sim::Unit>> Cpu::Execute(double instructions,
-                                                         CpuJobClass cls) {
-  return ExecuteSeconds(sim::InstructionsToSeconds(instructions, mips_), cls);
-}
-
-std::shared_ptr<sim::Completion<sim::Unit>> Cpu::ExecuteSeconds(
-    sim::SimTime seconds, CpuJobClass cls) {
-  auto completion = sim::MakeCompletion<sim::Unit>(sim_);
-  if (seconds <= 0.0) {
-    completion->Complete(sim::Unit{});
+// ccsim-analyze: hot-path(one call per CPU job: every page step and message hop; the job is linked, not allocated)
+bool Cpu::Enqueue(CpuJob* job, std::coroutine_handle<> h) {
+  if (job->seconds_ <= 0.0) {
     ++jobs_completed_;
-    return completion;
+    return false;
   }
+  job->waiter_.Park(sim_, h);
   UpdateVirtualTime();
-  if (cls == CpuJobClass::kMessage) {
-    msg_queue_.push_back(MsgJob{seconds, completion});
+  if (job->cls_ == CpuJobClass::kMessage) {
+    msg_queue_.PushBack(job);
     if (!msg_in_service_) StartNextMessage();
     // Message service preempts PS work: the PS completion event (if any) is
     // now stale and must be pushed out.
     ReschedulePsEvent();
   } else {
-    ps_jobs_.emplace(v_now_ + seconds, completion);
+    ps_jobs_.push_back(PsEntry{v_now_ + job->seconds_, ps_seq_++, job});
+    std::push_heap(ps_jobs_.begin(), ps_jobs_.end(), Later);
     ReschedulePsEvent();
   }
   UpdateBusy();
-  return completion;
+  return true;
 }
 
 void Cpu::UpdateVirtualTime() {
@@ -61,19 +56,19 @@ void Cpu::UpdateBusy() {
 void Cpu::StartNextMessage() {
   CCSIM_CHECK(!msg_in_service_ && !msg_queue_.empty());
   msg_in_service_ = true;
-  sim::SimTime duration = msg_queue_.front().duration;
+  sim::SimTime duration = msg_queue_.front()->seconds_;
   // ccsim-analyze: coro-ok(Cpu is owned by its Node which System keeps alive past the calendar teardown)
   sim_->After(duration, [this] { OnMessageDone(); });
 }
 
+// ccsim-analyze: hot-path(one call per message-class CPU job)
 void Cpu::OnMessageDone() {
   UpdateVirtualTime();
   CCSIM_CHECK(msg_in_service_ && !msg_queue_.empty());
-  auto completion = std::move(msg_queue_.front().completion);
-  msg_queue_.pop_front();
+  CpuJob* job = msg_queue_.PopFront();
   msg_in_service_ = false;
   ++jobs_completed_;
-  completion->Complete(sim::Unit{});
+  job->waiter_.Wake(sim_);
   if (!msg_queue_.empty()) {
     StartNextMessage();
   } else {
@@ -89,7 +84,7 @@ void Cpu::ReschedulePsEvent() {
     ps_event_pending_ = false;
   }
   if (msg_in_service_ || !msg_queue_.empty() || ps_jobs_.empty()) return;
-  double v_min = ps_jobs_.begin()->first;
+  double v_min = ps_jobs_.front().v_end;
   double dv = v_min - v_now_;
   if (dv < 0.0) dv = 0.0;
   sim::SimTime dt = dv * static_cast<double>(ps_jobs_.size());
@@ -98,20 +93,23 @@ void Cpu::ReschedulePsEvent() {
   ps_event_pending_ = true;
 }
 
+// ccsim-analyze: hot-path(one call per PS harvest; every user-class CPU job leaves through it)
 void Cpu::OnPsEvent() {
   ps_event_pending_ = false;
   UpdateVirtualTime();
   CCSIM_CHECK(!ps_jobs_.empty());
   // Snap the virtual clock onto the earliest completion to absorb drift, then
-  // harvest every job whose virtual end has been reached.
-  double v_min = ps_jobs_.begin()->first;
+  // harvest every job whose virtual end has been reached, in (v_end, seq)
+  // order.
+  double v_min = ps_jobs_.front().v_end;
   if (v_now_ < v_min) v_now_ = v_min;
   double cutoff = v_now_ * (1.0 + kVirtualEps) + kVirtualEps;
-  while (!ps_jobs_.empty() && ps_jobs_.begin()->first <= cutoff) {
-    auto completion = std::move(ps_jobs_.begin()->second);
-    ps_jobs_.erase(ps_jobs_.begin());
+  while (!ps_jobs_.empty() && ps_jobs_.front().v_end <= cutoff) {
+    std::pop_heap(ps_jobs_.begin(), ps_jobs_.end(), Later);
+    CpuJob* job = ps_jobs_.back().job;
+    ps_jobs_.pop_back();
     ++jobs_completed_;
-    completion->Complete(sim::Unit{});
+    job->waiter_.Wake(sim_);
   }
   ReschedulePsEvent();
   UpdateBusy();

@@ -1,12 +1,12 @@
 #ifndef CCSIM_RESOURCE_DISK_H_
 #define CCSIM_RESOURCE_DISK_H_
 
+#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 
-#include "ccsim/sim/completion.h"
+#include "ccsim/resource/job_fifo.h"
+#include "ccsim/sim/check.h"
 #include "ccsim/sim/random.h"
 #include "ccsim/sim/simulation.h"
 #include "ccsim/stats/tally.h"
@@ -15,6 +15,38 @@
 namespace ccsim::resource {
 
 enum class DiskOp { kRead, kWrite };
+
+class Disk;
+
+/// One disk access: the awaitable that Disk::Access returns. Like CpuJob
+/// (cpu.h), `co_await` links the record into the disk's queue and suspends
+/// the caller until the transfer finishes; the record lives in the awaiting
+/// frame and must not move once queued.
+class [[nodiscard]] DiskJob {
+ public:
+  DiskJob(const DiskJob&) = delete;
+  DiskJob& operator=(const DiskJob&) = delete;
+  DiskJob(DiskJob&& other) noexcept : disk_(other.disk_), op_(other.op_) {
+    CCSIM_CHECK_MSG(!other.waiter_.parked(), "moved a queued disk job");
+  }
+  DiskJob& operator=(DiskJob&&) = delete;
+
+  bool await_ready() const noexcept { return false; }
+  inline void await_suspend(std::coroutine_handle<> h);
+  void await_resume() const noexcept {}
+
+ private:
+  friend class Disk;
+  friend class JobFifo<DiskJob>;
+
+  DiskJob(Disk* disk, DiskOp op) : disk_(disk), op_(op) {}
+
+  Disk* disk_;
+  DiskOp op_;
+  sim::SimTime enqueued_at_ = 0.0;
+  sim::WaitSlot waiter_;
+  DiskJob* next_ = nullptr;  // queue link
+};
 
 /// A single disk with its own FIFO queue. Writes have (non-preemptive)
 /// priority over reads, per Sec 3.4 of the paper: the asynchronous post-commit
@@ -27,8 +59,9 @@ class Disk {
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
-  /// Enqueues an access; the completion fires when the transfer finishes.
-  std::shared_ptr<sim::Completion<sim::Unit>> Access(DiskOp op);
+  /// An access; awaiting the job queues it and returns when the transfer
+  /// finishes.
+  DiskJob Access(DiskOp op) { return DiskJob(this, op); }
 
   double Utilization() const { return busy_metric_.Mean(sim_->Now()); }
   void ResetStats();
@@ -43,18 +76,18 @@ class Disk {
   /// Time requests spent waiting before service (since last stats reset).
   const stats::Tally& wait_times() const { return wait_times_; }
   std::uint64_t accesses_completed() const { return accesses_completed_; }
+  /// Waiting accesses plus the one in service.
   std::size_t queue_length() const {
     return read_queue_.size() + write_queue_.size() +
-           (in_service_ ? 1u : 0u);
+           (in_service_ != nullptr ? 1u : 0u);
   }
 
  private:
-  struct Request {
-    std::shared_ptr<sim::Completion<sim::Unit>> completion;
-    sim::SimTime enqueue_time;
-  };
+  friend class DiskJob;
 
+  void Enqueue(DiskJob* job, std::coroutine_handle<> h);
   void StartNext();
+  void OnServiceDone();
 
   sim::Simulation* sim_;
   sim::SimTime min_time_;
@@ -62,14 +95,18 @@ class Disk {
   sim::RandomStream rng_;
   std::function<double()> fault_extra_time_;
 
-  std::deque<Request> read_queue_;
-  std::deque<Request> write_queue_;
-  bool in_service_ = false;
+  JobFifo<DiskJob> read_queue_;
+  JobFifo<DiskJob> write_queue_;
+  DiskJob* in_service_ = nullptr;
 
   stats::TimeWeighted busy_metric_{0.0};
   stats::Tally wait_times_;
   std::uint64_t accesses_completed_ = 0;
 };
+
+void DiskJob::await_suspend(std::coroutine_handle<> h) {
+  disk_->Enqueue(this, h);
+}
 
 }  // namespace ccsim::resource
 

@@ -22,8 +22,7 @@ ResourceManager::ResourceManager(sim::Simulation* sim, double mips,
   }
 }
 
-std::shared_ptr<sim::Completion<sim::Unit>> ResourceManager::DiskAccess(
-    DiskOp op) {
+DiskJob ResourceManager::DiskAccess(DiskOp op) {
   CCSIM_CHECK_MSG(!disks_.empty(), "disk access on a node with no disks");
   auto idx = static_cast<std::size_t>(
       disk_pick_.UniformInt(0, static_cast<std::int64_t>(disks_.size()) - 1));

@@ -28,8 +28,8 @@ class ResourceManager {
   int num_disks() const { return static_cast<int>(disks_.size()); }
   Disk& disk(int i) { return *disks_[static_cast<std::size_t>(i)]; }
 
-  /// Enqueues an access on a uniformly chosen disk.
-  std::shared_ptr<sim::Completion<sim::Unit>> DiskAccess(DiskOp op);
+  /// An access on a uniformly chosen disk (drawn now, queued when awaited).
+  DiskJob DiskAccess(DiskOp op);
 
   /// Mean utilization across this node's disks.
   double MeanDiskUtilization() const;

@@ -14,8 +14,11 @@ namespace ccsim::sim {
 /// Unit result for completions that carry no value.
 struct Unit {};
 
-/// A single-producer, single-consumer rendezvous between a facility (lock
-/// manager, disk, CPU, message handler) and an awaiting process.
+/// A single-producer, single-consumer rendezvous that carries a value from
+/// one process to another: a CC manager's AccessOutcome, a 2PC Vote, a
+/// transaction's end, an admission slot, a Latch. (CPU and disk work needs
+/// no rendezvous: its job record lives in the awaiting frame, see
+/// resource/cpu.h.)
 ///
 /// Usage: the facility creates a `std::shared_ptr<Completion<T>>`, hands it to
 /// the requesting process (which `co_await Await(c)`s it) and keeps its own
@@ -35,21 +38,16 @@ class Completion {
   void Complete(T value) {
     CCSIM_CHECK_MSG(!value_.has_value(), "Completion fulfilled twice");
     value_ = std::move(value);
-    if (waiter_) {
-      auto h = waiter_;
-      waiter_ = nullptr;
-      sim_->ResumeLater(h, token_);
-    }
+    if (waiter_.parked()) waiter_.Wake(sim_);
   }
 
-  // Internal interface used by the awaiter. Registers the waiter with the
-  // simulation's suspended-process registry so the frame is destroyed (not
-  // leaked) if the run ends before this completion is fulfilled; the token
-  // is kept for the wakeup.
+  // Internal interface used by the awaiter. Parking registers the waiter
+  // with the simulation's suspended-process registry, so the frame is
+  // destroyed (not leaked) if the run ends before this completion is
+  // fulfilled.
   void SetWaiter(std::coroutine_handle<> h) {
-    CCSIM_CHECK_MSG(!waiter_, "Completion awaited twice");
-    waiter_ = h;
-    token_ = sim_->NoteSuspended(h);
+    CCSIM_CHECK_MSG(!waiter_.parked(), "Completion awaited twice");
+    waiter_.Park(sim_, h);
   }
   T TakeValue() {
     CCSIM_CHECK(value_.has_value());
@@ -59,8 +57,7 @@ class Completion {
  private:
   Simulation* sim_;
   std::optional<T> value_;
-  Simulation::SuspendToken token_ = 0;  // waiter_'s registry token
-  std::coroutine_handle<> waiter_ = nullptr;
+  WaitSlot waiter_;
 };
 
 /// Awaiter that keeps the completion alive across the suspension.
@@ -84,9 +81,8 @@ CompletionAwaiter<T> Await(std::shared_ptr<Completion<T>> c) {
 }
 
 /// Creates a fresh unfulfilled completion. The object and its shared_ptr
-/// control block are co-located in the simulation's arena (completions are
-/// the kernel's most frequent allocation: one per CC request, disk access,
-/// and 2PC vote).
+/// control block are co-located in the simulation's arena (one per CC
+/// request, 2PC vote and transaction).
 template <typename T>
 std::shared_ptr<Completion<T>> MakeCompletion(Simulation* sim) {
   return std::allocate_shared<Completion<T>>(

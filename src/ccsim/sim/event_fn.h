@@ -18,8 +18,8 @@ namespace ccsim::sim {
 class EventFn {
  public:
   /// Inline capacity. Sized for the simulator's largest hot handler shape:
-  /// a `this` pointer, a shared_ptr completion, and a couple of words
-  /// (e.g. the disk service closure: this + {completion, enqueue_time}).
+  /// a `this` pointer, a shared_ptr, and a few words (e.g. the VOTE
+  /// delivery closure: this + {txn, attempt, cohort_index, vote}).
   static constexpr std::size_t kInlineBytes = 48;
 
   EventFn() noexcept = default;

@@ -76,10 +76,11 @@ class SuspendedSet {
 /// The simulation executive: owns the clock and the event calendar and runs
 /// the event loop. Single-threaded and deterministic.
 ///
-/// Process wakeups (Delay, ResumeLater, and through them every Completion)
-/// are scheduled as bare coroutine handles plus registry tokens in the
-/// calendar — no closure is allocated anywhere on the wakeup path, and a
-/// wakeup at the current time takes the calendar's same-time lane.
+/// Process wakeups (Delay, ResumeLater, and through them every Completion
+/// and every CPU and disk job) are scheduled as bare coroutine handles plus
+/// registry tokens in the calendar — no closure is allocated anywhere on the
+/// wakeup path, and a wakeup at the current time takes the calendar's
+/// same-time lane.
 class Simulation {
  public:
   using EventId = Calendar::EventId;
@@ -213,15 +214,15 @@ class Simulation {
   /// Resumes a suspended coroutine through the calendar at the current time.
   /// This is the only sanctioned way for facilities to wake a process. The
   /// handle must already be in the suspended-process registry under `token`
-  /// (Completion's SetWaiter and DelayAwaitable both register before
-  /// scheduling).
+  /// (WaitSlot::Park and DelayAwaitable both register before scheduling).
   void ResumeLater(std::coroutine_handle<> h, SuspendToken token) {
     ScheduleResume(now_, h, token);
   }
 
   // --- Suspended-process registry --------------------------------------
   //
-  // Every suspension (Delay or Completion wait) records its handle here and
+  // Every suspension (Delay, or a WaitSlot park: a Completion wait or a CPU
+  // or disk job) records its handle here and
   // removes it when the process actually resumes. Whatever is still in the
   // registry when the Simulation is torn down is a process frame no facility
   // will ever resume again; the Simulation destroys those frames so a run
@@ -306,6 +307,33 @@ class Simulation {
   };
   static constexpr std::size_t kFiredRingSize = 32;
   std::vector<FiredRecord> fired_ring_;
+};
+
+/// The park/wake pair of every facility that suspends a process until it
+/// says so (Completion, and the CPU and disk jobs of resource/). Park
+/// registers the frame with the suspended-process registry and keeps its
+/// token; Wake hands frame and token to the calendar's same-time lane. A
+/// slot holds at most one parked frame.
+class WaitSlot {
+ public:
+  bool parked() const { return handle_ != nullptr; }
+
+  void Park(Simulation* sim, std::coroutine_handle<> h) {
+    handle_ = h;
+    token_ = sim->NoteSuspended(h);
+  }
+
+  /// Empties the slot, then schedules the parked frame's resume. Nothing
+  /// touches the slot afterwards, so it may live in the frame it wakes.
+  void Wake(Simulation* sim) {
+    std::coroutine_handle<> h = handle_;
+    handle_ = nullptr;
+    sim->ResumeLater(h, token_);
+  }
+
+ private:
+  std::coroutine_handle<> handle_ = nullptr;
+  Simulation::SuspendToken token_ = 0;
 };
 
 }  // namespace ccsim::sim

@@ -42,8 +42,7 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
           txn->spec().class_index)];
 
   // Process initiation (InstPerStartup) at the cohort's node.
-  co_await sim::Await(
-      cpu->Execute(s_.config->costs.inst_per_startup, CpuJobClass::kUser));
+  co_await cpu->Execute(s_.config->costs.inst_per_startup, CpuJobClass::kUser);
   if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
     co_return;
 
@@ -51,8 +50,8 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
   for (const workload::PageAccess& access : spec.accesses) {
     // Concurrency control request (InstPerCCReq of CPU, usually 0).
     if (s_.config->costs.inst_per_cc_req > 0) {
-      co_await sim::Await(cpu->Execute(s_.config->costs.inst_per_cc_req,
-                                       CpuJobClass::kUser));
+      co_await cpu->Execute(s_.config->costs.inst_per_cc_req,
+                            CpuJobClass::kUser);
       if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
         co_return;
     }
@@ -77,14 +76,14 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
 
     if (!access.is_write) {
       // Synchronous read I/O; updated pages defer their I/O to after commit.
-      co_await sim::Await(s_.disk_access(node, DiskOp::kRead));
+      co_await s_.disk_access(node, DiskOp::kRead);
       if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
         co_return;
     }
 
     // Page processing: exponentially distributed around InstPerPage.
     double instructions = s_.node_rng(node)->Exponential(cls.inst_per_page);
-    co_await sim::Await(cpu->Execute(instructions, CpuJobClass::kUser));
+    co_await cpu->Execute(instructions, CpuJobClass::kUser);
     if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
       co_return;
   }
@@ -170,9 +169,9 @@ void CohortService::HandleCommit(const TxnPtr& txn, int attempt,
 sim::Process CohortService::AsyncPageWrite(NodeId node) {
   // InstPerUpdate of CPU to initiate, then the transfer on a random disk
   // (write-priority queue). Nothing awaits this process.
-  co_await sim::Await(s_.cpu_at(node)->Execute(
-      s_.config->costs.inst_per_update, CpuJobClass::kUser));
-  co_await sim::Await(s_.disk_access(node, DiskOp::kWrite));
+  co_await s_.cpu_at(node)->Execute(s_.config->costs.inst_per_update,
+                                    CpuJobClass::kUser);
+  co_await s_.disk_access(node, DiskOp::kWrite);
 }
 
 void CohortService::HandleAbort(const TxnPtr& txn, int attempt,

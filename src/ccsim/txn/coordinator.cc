@@ -43,8 +43,8 @@ sim::Process CoordinatorService::StartAttemptProcess(TxnPtr txn,
   // (InstPerStartup at the host); cohort processes restart on every attempt.
   int attempt = txn->attempt();
   if (first_attempt) {
-    co_await sim::Await(s_.cpu_at(kHostNode)->Execute(
-        s_.config->costs.inst_per_startup, CpuJobClass::kUser));
+    co_await s_.cpu_at(kHostNode)->Execute(s_.config->costs.inst_per_startup,
+                                           CpuJobClass::kUser);
     if (txn->IsStaleAttempt(attempt) || txn->phase() != TxnPhase::kRunning)
       co_return;
   }

@@ -29,10 +29,8 @@ struct Services {
   std::function<cc::CcManager*(NodeId)> cc_at;
   /// CPU of a node.
   std::function<resource::Cpu*(NodeId)> cpu_at;
-  /// Enqueue a disk access on a random disk of a node.
-  std::function<std::shared_ptr<sim::Completion<sim::Unit>>(
-      NodeId, resource::DiskOp)>
-      disk_access;
+  /// A disk access on a random disk of a node, queued when awaited.
+  std::function<resource::DiskJob(NodeId, resource::DiskOp)> disk_access;
   /// Per-node variate stream (page-processing instruction counts).
   std::function<sim::RandomStream*(NodeId)> node_rng;
 

@@ -83,6 +83,24 @@ std::uint64_t Digest(const RunResult& r) {
   return d.value();
 }
 
+// Digest() plus the counters that only the network models, batching and
+// the fault layer move.
+std::uint64_t PathDigest(const RunResult& r) {
+  MetricDigest d;
+  d.Add(Digest(r));
+  d.Add(r.messages_dropped);
+  d.Add(r.messages_lost);
+  d.Add(r.aborts_comm_timeout);
+  d.Add(r.forced_terminations);
+  d.Add(r.net_batches_sent);
+  d.Add(r.net_msgs_batched);
+  d.Add(r.net_local_fast_deliveries);
+  d.Add(r.net_rdma_ops);
+  d.Add(r.net_bytes_sent);
+  d.Add(r.net_link_wait_sec_mean);
+  return d.value();
+}
+
 // Every algorithm, including the extensions: the sorted-iteration fixes in
 // cc/waits_for_graph and cc/lock_table matter most for the deadlock-prone
 // locking variants, but all eight must reproduce exactly.
@@ -149,6 +167,55 @@ TEST(Determinism, DigestsMatchCommittedGoldens) {
   for (const Golden& g : kGoldens) {
     RunResult r = RunSimulation(ContendedConfig(g.alg));
     EXPECT_EQ(Digest(r), g.digest) << config::ToString(g.alg);
+  }
+#else
+  GTEST_SKIP() << "golden digests are pinned for x86-64 libstdc++ only";
+#endif
+}
+
+// Golden digests for the delivery and fault paths the algorithm goldens
+// above never reach: the two non-switch network models, the batching fast
+// path, and message drops with disk errors (each retransmission loop and the
+// disk's fault-extended service), batching off and on. Same platform rule
+// and refresh procedure as DigestsMatchCommittedGoldens.
+TEST(Determinism, NetworkAndFaultPathDigestsMatchCommittedGoldens) {
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  struct Golden {
+    const char* name;
+    config::NetModel model;
+    bool batching;
+    bool faults;
+    std::uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"bandwidth", config::NetModel::kBandwidth, false, false,
+       0x02d6144fbbfc61adull},
+      {"rdma", config::NetModel::kRdma, false, false,
+       0xae97e2e90503bbf3ull},
+      {"batching", config::NetModel::kSwitch, true, false,
+       0xd14eecec435fe9d4ull},
+      {"faults", config::NetModel::kSwitch, false, true,
+       0x5bdf43d70b801ccbull},
+      {"faults_batching", config::NetModel::kSwitch, true, true,
+       0x6b5803d3a7cfe2d0ull},
+  };
+  for (const Golden& g : kGoldens) {
+    auto cfg = ContendedConfig(config::CcAlgorithm::kTwoPhaseLocking);
+    cfg.net.model = g.model;
+    cfg.net.batching = g.batching;
+    if (g.faults) {
+      cfg.faults.msg_drop_prob = 0.05;
+      cfg.faults.disk_error_prob = 0.05;
+    }
+    RunResult r = RunSimulation(cfg);
+    // Each variant must actually take its path.
+    EXPECT_EQ(r.net_bytes_sent > 0.0, g.model != config::NetModel::kSwitch)
+        << g.name;
+    EXPECT_EQ(r.net_rdma_ops > 0, g.model == config::NetModel::kRdma)
+        << g.name;
+    EXPECT_EQ(r.net_msgs_batched > 0, g.batching) << g.name;
+    EXPECT_EQ(r.messages_dropped > 0, g.faults) << g.name;
+    EXPECT_EQ(PathDigest(r), g.digest) << g.name;
   }
 #else
   GTEST_SKIP() << "golden digests are pinned for x86-64 libstdc++ only";

@@ -345,10 +345,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WfgFuzz,
 
 // --- Processor-sharing CPU conservation --------------------------------------
 
-sim::Process Track(sim::Simulation& sim,
-                   std::shared_ptr<sim::Completion<sim::Unit>> c,
-                   double* when) {
-  co_await sim::Await(std::move(c));
+sim::Process Track(sim::Simulation& sim, resource::CpuJob job, double* when) {
+  co_await job;
   *when = sim.Now();
 }
 

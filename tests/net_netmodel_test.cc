@@ -19,6 +19,9 @@ namespace {
 using resource::Cpu;
 using sim::Simulation;
 
+// Runs a CPU job nobody waits on.
+sim::Process Load(resource::CpuJob job) { co_await job; }
+
 config::NetParams BandwidthParams() {
   config::NetParams p;
   p.model = config::NetModel::kBandwidth;
@@ -149,7 +152,7 @@ TEST_F(NetModelTest, BandwidthRetriesAreBoundedAndCounted) {
 TEST_F(NetModelTest, RdmaBypassesReceiverCpu) {
   Network net = MakeNet(RdmaParams());
   // Saturate the receiver with user work: a one-sided op must not care.
-  node1_.ExecuteSeconds(10.0, resource::CpuJobClass::kUser);
+  Load(node1_.ExecuteSeconds(10.0, resource::CpuJobClass::kUser));
   double delivered_at = -1;
   net.Send(0, 1, MsgTag::kCommit, [&] { delivered_at = sim_.Now(); });
   sim_.RunUntil(1.0);

@@ -12,6 +12,9 @@ namespace {
 using resource::Cpu;
 using sim::Simulation;
 
+// Runs a CPU job nobody waits on.
+sim::Process Load(resource::CpuJob job) { co_await job; }
+
 class NetworkTest : public ::testing::Test {
  protected:
   NetworkTest()
@@ -108,7 +111,7 @@ TEST_F(NetworkTest, MessageCpuHasPriorityOverUserWork) {
   // Saturate node1 with user work; a message through it should still take
   // ~1 ms of node1 CPU (plus 0.1 ms at the host), not wait behind the user
   // job.
-  node1_.ExecuteSeconds(10.0, resource::CpuJobClass::kUser);
+  Load(node1_.ExecuteSeconds(10.0, resource::CpuJobClass::kUser));
   double delivered_at = -1;
   net_.Send(0, 1, MsgTag::kPrepare, [&] { delivered_at = sim_.Now(); });
   sim_.Run();

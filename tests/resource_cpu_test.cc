@@ -2,27 +2,31 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "ccsim/sim/completion.h"
 #include "ccsim/sim/process.h"
 #include "ccsim/sim/simulation.h"
 
 namespace ccsim::resource {
 namespace {
 
-using sim::Await;
-using sim::Completion;
 using sim::Process;
 using sim::Simulation;
-using sim::Unit;
 
-// Records the simulated time a completion fires.
-Process Track(Simulation& sim, std::shared_ptr<Completion<Unit>> c,
-              double* when) {
-  co_await Await(std::move(c));
+// Records the simulated time a job finishes.
+Process Track(Simulation& sim, CpuJob job, double* when) {
+  co_await job;
   *when = sim.Now();
+}
+
+// Runs a job nobody waits on.
+Process Load(CpuJob job) { co_await job; }
+
+// Records the order in which jobs finish.
+Process TrackOrder(CpuJob job, std::vector<int>* order, int tag) {
+  co_await job;
+  order->push_back(tag);
 }
 
 class CpuTest : public ::testing::Test {
@@ -69,10 +73,12 @@ TEST_F(CpuTest, StaggeredArrivalProcessorSharing) {
 }
 
 TEST_F(CpuTest, ZeroDemandCompletesImmediately) {
-  auto c = cpu_.ExecuteSeconds(0.0, CpuJobClass::kUser);
-  EXPECT_TRUE(c->done());
-  auto m = cpu_.Execute(0.0, CpuJobClass::kMessage);
-  EXPECT_TRUE(m->done());
+  // Done before the simulation runs: the awaiting process never suspends.
+  double c = -1, m = -1;
+  Track(sim_, cpu_.ExecuteSeconds(0.0, CpuJobClass::kUser), &c);
+  EXPECT_EQ(c, 0.0);
+  Track(sim_, cpu_.Execute(0.0, CpuJobClass::kMessage), &m);
+  EXPECT_EQ(m, 0.0);
 }
 
 TEST_F(CpuTest, MessagePreemptsProcessorSharingWork) {
@@ -114,8 +120,8 @@ TEST_F(CpuTest, BackToBackMessagesKeepPsStalled) {
   double user = -1;
   Track(sim_, cpu_.ExecuteSeconds(1.0, CpuJobClass::kUser), &user);
   sim_.At(0.25, [&] {
-    cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage);
-    cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage);
+    Load(cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage));
+    Load(cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage));
   });
   sim_.Run();
   // PS progress: 0.25 before the messages, stalled during [0.25, 1.25],
@@ -133,15 +139,33 @@ TEST_F(CpuTest, ManyEqualJobsFinishTogether) {
   for (double d : done) EXPECT_NEAR(d, 10.0, 1e-6);
 }
 
+TEST_F(CpuTest, TiedPsJobsFinishInArrivalOrder) {
+  // Twelve equal jobs share one virtual end time; a thirteenth arrives at
+  // t=6, when the virtual clock stands at 0.5, and ties with them too. All
+  // finish at 12.5 and must wake in arrival order, as the multimap the PS
+  // heap replaced ordered equal keys.
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    TrackOrder(cpu_.ExecuteSeconds(1.0, CpuJobClass::kUser), &order, i);
+  }
+  sim_.At(6.0, [&] {
+    TrackOrder(cpu_.ExecuteSeconds(0.5, CpuJobClass::kUser), &order, 12);
+  });
+  sim_.Run();
+  EXPECT_EQ(order,
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}));
+  EXPECT_NEAR(sim_.Now(), 12.5, 1e-9);
+}
+
 TEST_F(CpuTest, UtilizationTracksBusyTime) {
-  cpu_.ExecuteSeconds(2.0, CpuJobClass::kUser);
+  Load(cpu_.ExecuteSeconds(2.0, CpuJobClass::kUser));
   sim_.At(8.0, [] {});  // extend the run
   sim_.Run();
   EXPECT_NEAR(cpu_.Utilization(), 2.0 / 8.0, 1e-9);
 }
 
 TEST_F(CpuTest, ResetStatsRestartsUtilizationWindow) {
-  cpu_.ExecuteSeconds(1.0, CpuJobClass::kUser);
+  Load(cpu_.ExecuteSeconds(1.0, CpuJobClass::kUser));
   sim_.At(1.0, [&] { cpu_.ResetStats(); });
   sim_.At(3.0, [] {});
   sim_.Run();
@@ -149,9 +173,9 @@ TEST_F(CpuTest, ResetStatsRestartsUtilizationWindow) {
 }
 
 TEST_F(CpuTest, JobsCompletedCounts) {
-  cpu_.ExecuteSeconds(0.5, CpuJobClass::kUser);
-  cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage);
-  cpu_.ExecuteSeconds(0.0, CpuJobClass::kUser);
+  Load(cpu_.ExecuteSeconds(0.5, CpuJobClass::kUser));
+  Load(cpu_.ExecuteSeconds(0.5, CpuJobClass::kMessage));
+  Load(cpu_.ExecuteSeconds(0.0, CpuJobClass::kUser));
   sim_.Run();
   EXPECT_EQ(cpu_.jobs_completed(), 3u);
 }
@@ -163,6 +187,21 @@ TEST(CpuConfig, HigherMipsRunsProportionallyFaster) {
   Track(sim, fast.Execute(8000.0, CpuJobClass::kUser), &done);
   sim.Run();
   EXPECT_NEAR(done, 0.0008, 1e-12);
+}
+
+Process AwaitInPlace(CpuJob* job) { co_await *job; }
+
+TEST(CpuJobDeathTest, MovingAQueuedJobIsFatal) {
+  Simulation sim;
+  Cpu cpu(&sim, 1.0);
+  CpuJob job = cpu.ExecuteSeconds(1.0, CpuJobClass::kUser);
+  AwaitInPlace(&job);  // queued: the CPU now points at `job`
+  EXPECT_DEATH(
+      {
+        CpuJob moved(std::move(job));
+        (void)moved;
+      },
+      "moved a queued CPU job");
 }
 
 TEST(CpuConfigDeathTest, NonPositiveMipsIsFatal) {

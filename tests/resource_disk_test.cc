@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "ccsim/resource/resource_manager.h"
@@ -13,25 +13,24 @@
 namespace ccsim::resource {
 namespace {
 
-using sim::Await;
-using sim::Completion;
 using sim::Process;
 using sim::RandomStream;
 using sim::Simulation;
-using sim::Unit;
 
-Process Track(Simulation& sim, std::shared_ptr<Completion<Unit>> c,
-              double* when) {
-  co_await Await(std::move(c));
+Process Track(Simulation& sim, DiskJob job, double* when) {
+  co_await job;
   *when = sim.Now();
 }
 
-Process TrackOrder(Simulation& sim, std::shared_ptr<Completion<Unit>> c,
-                   std::vector<int>* order, int tag) {
+Process TrackOrder(Simulation& sim, DiskJob job, std::vector<int>* order,
+                   int tag) {
   (void)sim;
-  co_await Await(std::move(c));
+  co_await job;
   order->push_back(tag);
 }
+
+// Runs an access nobody waits on.
+Process Load(DiskJob job) { co_await job; }
 
 class DiskTest : public ::testing::Test {
  protected:
@@ -69,24 +68,24 @@ TEST_F(DiskTest, WritesJumpAheadOfQueuedReads) {
 }
 
 TEST_F(DiskTest, QueueLengthCountsInServiceAndWaiting) {
-  disk_.Access(DiskOp::kRead);
-  disk_.Access(DiskOp::kRead);
-  disk_.Access(DiskOp::kWrite);
+  Load(disk_.Access(DiskOp::kRead));
+  Load(disk_.Access(DiskOp::kRead));
+  Load(disk_.Access(DiskOp::kWrite));
   EXPECT_EQ(disk_.queue_length(), 3u);
   sim_.Run();
   EXPECT_EQ(disk_.queue_length(), 0u);
 }
 
 TEST_F(DiskTest, SaturatedDiskHasFullUtilization) {
-  for (int i = 0; i < 50; ++i) disk_.Access(DiskOp::kRead);
+  for (int i = 0; i < 50; ++i) Load(disk_.Access(DiskOp::kRead));
   sim_.Run();
   EXPECT_NEAR(disk_.Utilization(), 1.0, 1e-9);
   EXPECT_EQ(disk_.accesses_completed(), 50u);
 }
 
 TEST_F(DiskTest, WaitTimesRecordQueueingDelay) {
-  disk_.Access(DiskOp::kRead);
-  disk_.Access(DiskOp::kRead);
+  Load(disk_.Access(DiskOp::kRead));
+  Load(disk_.Access(DiskOp::kRead));
   sim_.Run();
   ASSERT_EQ(disk_.wait_times().count(), 2u);
   EXPECT_DOUBLE_EQ(disk_.wait_times().min(), 0.0);   // first starts at once
@@ -95,14 +94,14 @@ TEST_F(DiskTest, WaitTimesRecordQueueingDelay) {
 
 TEST_F(DiskTest, MeanServiceTimeNearMidpoint) {
   const int n = 2000;
-  for (int i = 0; i < n; ++i) disk_.Access(DiskOp::kRead);
+  for (int i = 0; i < n; ++i) Load(disk_.Access(DiskOp::kRead));
   sim_.Run();
   // Busy the whole time; total time ~ n * 20 ms.
   EXPECT_NEAR(sim_.Now() / n, 0.020, 0.001);
 }
 
 TEST_F(DiskTest, ResetStatsClearsCountersAndWindow) {
-  disk_.Access(DiskOp::kRead);
+  Load(disk_.Access(DiskOp::kRead));
   sim_.Run();
   disk_.ResetStats();
   EXPECT_EQ(disk_.accesses_completed(), 0u);
@@ -113,7 +112,7 @@ TEST(ResourceManager, SpreadsAccessesAcrossDisks) {
   Simulation sim;
   ResourceManager rm(&sim, 1.0, 4, 0.010, 0.030, /*seed=*/7,
                      /*stream_base=*/0);
-  for (int i = 0; i < 400; ++i) rm.DiskAccess(DiskOp::kRead);
+  for (int i = 0; i < 400; ++i) Load(rm.DiskAccess(DiskOp::kRead));
   sim.Run();
   for (int d = 0; d < 4; ++d) {
     EXPECT_GT(rm.disk(d).accesses_completed(), 50u);
@@ -123,7 +122,7 @@ TEST(ResourceManager, SpreadsAccessesAcrossDisks) {
 TEST(ResourceManager, MeanDiskUtilizationAveragesDisks) {
   Simulation sim;
   ResourceManager rm(&sim, 1.0, 2, 0.010, 0.010, 7, 0);
-  rm.disk(0).Access(DiskOp::kRead);  // only disk 0 busy
+  Load(rm.disk(0).Access(DiskOp::kRead));  // only disk 0 busy
   sim.At(0.020, [] {});
   sim.Run();
   EXPECT_NEAR(rm.MeanDiskUtilization(), 0.25, 1e-9);
@@ -132,7 +131,45 @@ TEST(ResourceManager, MeanDiskUtilizationAveragesDisks) {
 TEST(ResourceManagerDeathTest, DiskAccessWithNoDisksIsFatal) {
   Simulation sim;
   ResourceManager rm(&sim, 1.0, 0, 0.010, 0.030, 7, 0);
-  EXPECT_DEATH(rm.DiskAccess(DiskOp::kRead), "no disks");
+  EXPECT_DEATH(Load(rm.DiskAccess(DiskOp::kRead)), "no disks");
+}
+
+// A loop over CPU jobs of both classes and disk accesses, run as a member
+// coroutine of an arena owner like the engine's services, so its frame is
+// the arena's only allocation.
+struct JobLoop {
+  Simulation* sim;
+  ResourceManager* rm;
+  std::uint64_t allocs_after_first_round = 0;
+
+  sim::Arena* process_arena() { return sim->arena(); }
+
+  Process Run(int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      co_await rm->cpu().Execute(2000.0, CpuJobClass::kUser);
+      co_await rm->cpu().Execute(500.0, CpuJobClass::kMessage);
+      co_await rm->DiskAccess(r % 2 == 0 ? DiskOp::kRead : DiskOp::kWrite);
+      if (r == 0) allocs_after_first_round = sim->arena()->total_allocations();
+    }
+  }
+};
+
+TEST(ResourceJobs, WarmJobsAllocateNothingFromTheArena) {
+  Simulation sim;
+  ResourceManager rm(&sim, 1.0, 2, 0.010, 0.030, 7, 0);
+  // Two loops, so jobs also queue behind each other.
+  JobLoop a{&sim, &rm};
+  JobLoop b{&sim, &rm};
+  const int kRounds = 1000;
+  a.Run(kRounds);
+  b.Run(kRounds);
+  sim.Run();
+  EXPECT_EQ(rm.cpu().jobs_completed(), 2u * 2u * kRounds);
+  EXPECT_EQ(rm.disk(0).accesses_completed() + rm.disk(1).accesses_completed(),
+            2u * kRounds);
+  EXPECT_EQ(a.allocs_after_first_round, 2u);  // the two frames
+  EXPECT_EQ(sim.arena()->total_allocations(), a.allocs_after_first_round);
+  EXPECT_EQ(sim.arena()->total_allocations(), b.allocs_after_first_round);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "ccsim/resource/resource_manager.h"
 #include "ccsim/sim/completion.h"
 #include "ccsim/sim/process.h"
 
@@ -246,6 +247,40 @@ TEST(ProcessTeardown, CompletionSuspendedFrameDestroyedWithSimulation) {
     EXPECT_EQ(sim.suspended_processes(), 1u);
   }
   EXPECT_TRUE(destroyed);
+}
+
+template <typename Job>
+Process AwaitJob(Job job, bool* frame_destroyed) {
+  DtorFlag guard{frame_destroyed};
+  co_await job;
+}
+
+TEST(ProcessTeardown, QueuedJobFramesDestroyedWithSimulation) {
+  // RunUntil stops with message, PS and disk jobs queued: one message in
+  // service and two behind it, three stalled PS jobs, one disk access in
+  // service and one waiting. The jobs live in their awaiting frames. As in
+  // System, the resources die first; then the registry destroys the frames.
+  constexpr int kEach = 3;
+  bool destroyed[3 * kEach] = {};
+  {
+    Simulation sim;
+    resource::ResourceManager rm(&sim, 1.0, 1, 1.0, 1.0, 7, 0);
+    for (int i = 0; i < kEach; ++i) {
+      AwaitJob(rm.cpu().ExecuteSeconds(10.0, resource::CpuJobClass::kMessage),
+               &destroyed[i]);
+      AwaitJob(rm.cpu().ExecuteSeconds(10.0, resource::CpuJobClass::kUser),
+               &destroyed[kEach + i]);
+      AwaitJob(rm.DiskAccess(resource::DiskOp::kRead),
+               &destroyed[2 * kEach + i]);
+    }
+    sim.RunUntil(1.5);
+    EXPECT_EQ(rm.cpu().messages_queued(), 3u);
+    EXPECT_EQ(rm.cpu().ps_jobs_active(), 3u);
+    EXPECT_EQ(rm.disk(0).queue_length(), 2u);
+    EXPECT_TRUE(destroyed[2 * kEach]);  // the first access finished at 1.0
+    EXPECT_EQ(sim.suspended_processes(), 3u * kEach - 1u);
+  }
+  for (bool d : destroyed) EXPECT_TRUE(d);
 }
 
 TEST(ProcessTeardown, RegistryEmptiesWhenProcessFinishesNormally) {

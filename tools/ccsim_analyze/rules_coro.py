@@ -28,11 +28,16 @@ PR 4 a double-finalize through exactly the holes this pass now guards:
   coro-unregistered-await
                       `co_await` on anything other than the sanctioned
                       awaitables (Simulation::Delay, sim::Await over a
-                      Completion) suspends a frame the registry never
-                      learns about: it leaks at teardown, and member access
-                      after resumption races object destruction. New
-                      awaitable types must register via NoteSuspended and
-                      then be added to the sanctioned list here.
+                      Completion, and the CPU and disk jobs returned by
+                      Cpu::Execute/ExecuteSeconds, Disk::Access,
+                      ResourceManager::DiskAccess and Services::disk_access)
+                      suspends a frame the registry never learns about: it
+                      leaks at teardown, and member access after resumption
+                      races object destruction. New awaitable types must
+                      register via NoteSuspended (the jobs do, through
+                      sim::WaitSlot) and then be added to the sanctioned
+                      list here. The check is by call name, so it sees only
+                      jobs awaited where they are made.
 
 All four waive with `// ccsim-analyze: coro-ok(<reason>)` on the flagged
 line or the two lines above. The executive itself (src/ccsim/sim/) is the
@@ -51,7 +56,9 @@ SKIP_REL_PREFIXES = ("src/ccsim/sim/",)
 SCHED_CALL_RE = re.compile(r"\b(?:At|After|Schedule|ScheduleResume)\s*\(")
 RAW_RESUME_RE = re.compile(r"(?:\.|->)\s*(resume|destroy)\s*\(\s*\)")
 CO_AWAIT_RE = re.compile(r"\bco_await\b")
-SANCTIONED_AWAIT_RE = re.compile(r"\b(?:Await|Delay)\s*\(")
+SANCTIONED_AWAIT_RE = re.compile(
+    r"\b(?:Await|Delay|Execute|ExecuteSeconds|Access|DiskAccess|disk_access)"
+    r"\s*\(")
 
 
 def _lambdas_in_call(text: str, open_idx: int, close_idx: int):
@@ -142,7 +149,8 @@ def _check_file(sf: SourceFile, findings: list[Finding]) -> None:
             findings, sf, sf.line_of(m.start()), "coro-unregistered-await",
             "coro-ok",
             "co_await on an awaitable outside the sanctioned set "
-            "(Simulation::Delay, sim::Await): the suspended frame is "
+            "(Simulation::Delay, sim::Await, CPU and disk jobs): the "
+            "suspended frame is "
             "invisible to the suspended-process registry, so it leaks at "
             "teardown and member access after resumption can touch a "
             "destroyed object. Register the awaitable via NoteSuspended "

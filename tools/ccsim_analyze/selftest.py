@@ -98,7 +98,7 @@ def run(root: str) -> int:
              rules_coro.run([SourceFile(os.path.join(fx, "coro_bad.cc"),
                                         root)]),
              {"coro-ref-capture": 1, "coro-this-capture": 1,
-              "coro-raw-resume": 1, "coro-unregistered-await": 1})
+              "coro-raw-resume": 1, "coro-unregistered-await": 2})
     s.expect("coro/clean",
              rules_coro.run([SourceFile(os.path.join(fx, "coro_clean.cc"),
                                         root)]), {})

@@ -1,6 +1,7 @@
 // Fixture: coroutine-lifetime pass, violating side.
-// Expected: coro-ref-capture, coro-this-capture, coro-raw-resume,
-// coro-unregistered-await (one each).
+// Expected: coro-ref-capture, coro-this-capture, coro-raw-resume (one
+// each), coro-unregistered-await (two: a custom awaitable, and a call whose
+// name only ends like a job factory's).
 #include "sim.h"
 
 void Node::Arm() {
@@ -12,4 +13,5 @@ void Node::Arm() {
 
 Process Node::Run() {
   co_await custom_awaitable_;
+  co_await cpu_->PreExecute(1000.0, CpuJobClass::kUser);
 }

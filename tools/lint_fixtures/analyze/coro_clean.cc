@@ -1,5 +1,6 @@
 // Fixture: coroutine-lifetime pass, clean side. Expected: no findings.
-// One audited this-capture waiver, one value capture, sanctioned awaits.
+// One audited this-capture waiver, one value capture, sanctioned awaits:
+// Delay, Await, and the CPU and disk jobs (registered through WaitSlot).
 #include "sim.h"
 
 void Node::Arm() {
@@ -11,4 +12,9 @@ void Node::Arm() {
 Process Node::Run() {
   co_await sim_->Delay(1.0);
   co_await sim::Await(done_);
+  co_await cpu_->Execute(1000.0, CpuJobClass::kUser);
+  co_await cpu_->ExecuteSeconds(0.5, CpuJobClass::kMessage);
+  co_await disk_->Access(DiskOp::kRead);
+  co_await resources_->DiskAccess(DiskOp::kWrite);
+  co_await s_.disk_access(node_, DiskOp::kRead);
 }
