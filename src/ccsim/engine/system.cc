@@ -414,8 +414,7 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
 
   // Overload metrics. Without OverloadParams these reduce to the documented
   // trivial values (offered == admitted == submitted, goodput_deadline ==
-  // throughput, everything else 0), matching what migrate_cache_v7_to_v8.py
-  // backfills into pre-v8 entries.
+  // throughput, everything else 0).
   r.txns_offered =
       admission_ ? admission_->offered() : r.transactions_submitted;
   r.txns_admitted =
@@ -442,8 +441,7 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
     r.admission_queue_max = admission_->queue_depth_max();
   }
   // Network-model metrics. Under the default NetParams (kSwitch, no
-  // batching) every one of these is zero, matching what
-  // migrate_cache_v8_to_v9.py backfills into pre-v9 entries.
+  // batching) every one of these is zero.
   r.net_batches_sent = network_->batches_sent() - net_batches_at_reset_;
   r.net_msgs_batched = network_->messages_batched() - net_batched_at_reset_;
   r.net_local_fast_deliveries =

@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -11,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <variant>
 
 #include "ccsim/sim/check.h"
 
@@ -18,110 +21,15 @@ namespace ccsim::experiments {
 
 namespace {
 constexpr char kDefaultDir[] = "ccsim_bench_cache";
-constexpr int kFormatVersion = 9;  // bump when RunResult fields change
 
-// One serialized field of RunResult. Serialization and parsing both walk
-// this table, so the two cannot drift apart and the field count in the
-// trailer is derived, not hand-maintained. Integer counters are written and
+// The member's type picks the overload. Integer counters are written and
 // parsed as integers: routing them through double would silently corrupt
 // values above 2^53.
-enum class FieldType { kDouble, kU64, kBool };
+void WriteValue(std::ostream& out, double v) { out << v; }
+void WriteValue(std::ostream& out, std::uint64_t v) { out << v; }
+void WriteValue(std::ostream& out, bool v) { out << (v ? 1 : 0); }
 
-struct Field {
-  const char* key;
-  FieldType type;
-  double engine::RunResult::*d;
-  std::uint64_t engine::RunResult::*u;
-  bool engine::RunResult::*b;
-};
-
-constexpr Field D(const char* key, double engine::RunResult::*m) {
-  return {key, FieldType::kDouble, m, nullptr, nullptr};
-}
-constexpr Field U(const char* key, std::uint64_t engine::RunResult::*m) {
-  return {key, FieldType::kU64, nullptr, m, nullptr};
-}
-constexpr Field B(const char* key, bool engine::RunResult::*m) {
-  return {key, FieldType::kBool, nullptr, nullptr, m};
-}
-
-using R = engine::RunResult;
-constexpr Field kFields[] = {
-    D("throughput", &R::throughput),
-    D("mean_response_time", &R::mean_response_time),
-    D("rt_ci_half_width", &R::rt_ci_half_width),
-    D("max_response_time", &R::max_response_time),
-    D("rt_p50", &R::rt_p50),
-    D("rt_p90", &R::rt_p90),
-    D("rt_p99", &R::rt_p99),
-    U("commits", &R::commits),
-    U("aborts", &R::aborts),
-    D("abort_ratio", &R::abort_ratio),
-    U("aborts_local_deadlock", &R::aborts_local_deadlock),
-    U("aborts_global_deadlock", &R::aborts_global_deadlock),
-    U("aborts_wound", &R::aborts_wound),
-    U("aborts_timestamp", &R::aborts_timestamp),
-    U("aborts_certification", &R::aborts_certification),
-    U("aborts_die", &R::aborts_die),
-    U("aborts_timeout", &R::aborts_timeout),
-    D("host_cpu_util", &R::host_cpu_util),
-    D("proc_cpu_util", &R::proc_cpu_util),
-    D("disk_util", &R::disk_util),
-    D("mean_blocking_time", &R::mean_blocking_time),
-    U("blocked_waits", &R::blocked_waits),
-    D("messages_per_commit", &R::messages_per_commit),
-    U("transactions_submitted", &R::transactions_submitted),
-    U("live_at_end", &R::live_at_end),
-    U("events", &R::events),
-    D("sim_seconds", &R::sim_seconds),
-    D("wall_seconds", &R::wall_seconds),
-    B("audited", &R::audited),
-    B("serializable", &R::serializable),
-    // v6: fault metrics. Appended so that v5 entries migrate by appending
-    // defaults (see tools/migrate_cache_v5_to_v6.py).
-    D("availability", &R::availability),
-    D("goodput", &R::goodput),
-    U("node_crashes", &R::node_crashes),
-    U("messages_dropped", &R::messages_dropped),
-    U("messages_lost", &R::messages_lost),
-    U("aborts_node_crash", &R::aborts_node_crash),
-    U("aborts_comm_timeout", &R::aborts_comm_timeout),
-    U("forced_terminations", &R::forced_terminations),
-    // v7: tail-latency metrics. Appended so that v6 entries migrate by
-    // appending defaults (see tools/migrate_cache_v6_to_v7.py).
-    D("rt_p999", &R::rt_p999),
-    D("mean_queue_time", &R::mean_queue_time),
-    D("mean_exec_time", &R::mean_exec_time),
-    D("mean_commit_wait_time", &R::mean_commit_wait_time),
-    D("mean_restart_wasted_time", &R::mean_restart_wasted_time),
-    D("mean_active_txns", &R::mean_active_txns),
-    // v8: overload metrics. Appended so that v7 entries migrate by appending
-    // defaults (see tools/migrate_cache_v7_to_v8.py; offered/admitted default
-    // to transactions_submitted and goodput_deadline to throughput, matching
-    // what the engine computes when OverloadParams are zero).
-    U("txns_offered", &R::txns_offered),
-    U("txns_admitted", &R::txns_admitted),
-    U("txns_shed", &R::txns_shed),
-    U("txns_deadline_missed", &R::txns_deadline_missed),
-    U("txns_retry_exhausted", &R::txns_retry_exhausted),
-    D("goodput_deadline", &R::goodput_deadline),
-    D("admission_queue_mean", &R::admission_queue_mean),
-    U("admission_queue_max", &R::admission_queue_max),
-    // v9: network-model metrics. Appended so that v8 entries migrate by
-    // appending defaults (see tools/migrate_cache_v8_to_v9.py; every field
-    // defaults to zero, matching what the engine reports under the default
-    // kSwitch model without batching).
-    U("net_batches_sent", &R::net_batches_sent),
-    U("net_msgs_batched", &R::net_msgs_batched),
-    U("net_local_fast_deliveries", &R::net_local_fast_deliveries),
-    U("net_rdma_ops", &R::net_rdma_ops),
-    D("net_bytes_sent", &R::net_bytes_sent),
-    D("net_link_wait_sec_mean", &R::net_link_wait_sec_mean),
-};
-constexpr std::size_t kNumFields = std::size(kFields);
-static_assert(kNumFields <= 64, "seen-field mask below is a uint64");
-
-bool ParseDouble(const std::string& token, double* out) {
+bool ParseValue(const std::string& token, double* out) {
   if (token.empty()) return false;
   errno = 0;
   char* end = nullptr;
@@ -131,7 +39,7 @@ bool ParseDouble(const std::string& token, double* out) {
   return true;
 }
 
-bool ParseU64(const std::string& token, std::uint64_t* out) {
+bool ParseValue(const std::string& token, std::uint64_t* out) {
   if (token.empty() || token[0] == '-' || token[0] == '+') return false;
   errno = 0;
   char* end = nullptr;
@@ -140,6 +48,39 @@ bool ParseU64(const std::string& token, std::uint64_t* out) {
   *out = v;
   return true;
 }
+
+bool ParseValue(const std::string& token, bool* out) {
+  std::uint64_t v = 0;
+  if (!ParseValue(token, &v)) return false;
+  *out = v != 0;
+  return true;
+}
+
+// One serialized field of RunResult. The table is generated from
+// CCSIM_RUN_RESULT_FIELDS, so each key is its member's name, serialization
+// and parsing walk the same list, and the trailer's count is derived.
+struct Field {
+  const char* key;
+  std::variant<double engine::RunResult::*, std::uint64_t engine::RunResult::*,
+               bool engine::RunResult::*>
+      member;
+};
+
+#define CCSIM_CACHE_FIELD(type, name, init) \
+  Field{#name, &engine::RunResult::name},
+constexpr Field kFields[] = {CCSIM_RUN_RESULT_FIELDS(CCSIM_CACHE_FIELD)};
+#undef CCSIM_CACHE_FIELD
+constexpr std::size_t kNumFields = std::size(kFields);
+
+// A structured binding must name every non-static data member, so a member
+// added to RunResult outside CCSIM_RUN_RESULT_FIELDS fails to compile here,
+// whatever its type and whether or not it fits into padding.
+#define CCSIM_CACHE_FIELD_NAME(type, name, init) name,
+[[maybe_unused]] void RunResultDeclaresOnlyListedFields(engine::RunResult& r) {
+  [[maybe_unused]] auto& [CCSIM_RUN_RESULT_FIELDS(CCSIM_CACHE_FIELD_NAME)
+                              audit_note] = r;
+}
+#undef CCSIM_CACHE_FIELD_NAME
 
 }  // namespace
 
@@ -162,11 +103,7 @@ std::string SerializeResult(const engine::RunResult& r) {
   out.precision(17);
   for (const Field& f : kFields) {
     out << f.key << ' ';
-    switch (f.type) {
-      case FieldType::kDouble: out << r.*(f.d); break;
-      case FieldType::kU64: out << r.*(f.u); break;
-      case FieldType::kBool: out << (r.*(f.b) ? 1 : 0); break;
-    }
+    std::visit([&](auto m) { WriteValue(out, r.*m); }, f.member);
     out << '\n';
   }
   out << "field_count " << kNumFields << '\n';
@@ -179,18 +116,19 @@ std::optional<engine::RunResult> ParseResult(const std::string& text) {
   std::string key;
   std::string token;
   std::uint64_t fields = 0;
-  std::uint64_t seen = 0;
+  std::array<bool, kNumFields> seen{};
   while (in >> key) {
     if (!(in >> token)) return std::nullopt;  // key without a value
     if (key == "field_count") {
       // The trailer is written last; anything after it, a count mismatch,
       // or missing known fields marks a truncated or corrupt file.
       std::uint64_t expected = 0;
-      if (!ParseU64(token, &expected)) return std::nullopt;
+      if (!ParseValue(token, &expected)) return std::nullopt;
       if (expected != fields) return std::nullopt;
       if (in >> key) return std::nullopt;
-      constexpr std::uint64_t kAllSeen = (std::uint64_t{1} << kNumFields) - 1;
-      if (seen != kAllSeen) return std::nullopt;
+      if (std::find(seen.begin(), seen.end(), false) != seen.end()) {
+        return std::nullopt;
+      }
       return r;
     }
     ++fields;
@@ -198,22 +136,9 @@ std::optional<engine::RunResult> ParseResult(const std::string& text) {
     for (std::size_t i = 0; i < kNumFields; ++i) {
       if (key != kFields[i].key) continue;
       known = true;
-      const Field& f = kFields[i];
-      switch (f.type) {
-        case FieldType::kDouble:
-          if (!ParseDouble(token, &(r.*(f.d)))) return std::nullopt;
-          break;
-        case FieldType::kU64:
-          if (!ParseU64(token, &(r.*(f.u)))) return std::nullopt;
-          break;
-        case FieldType::kBool: {
-          std::uint64_t v = 0;
-          if (!ParseU64(token, &v)) return std::nullopt;
-          r.*(f.b) = v != 0;
-          break;
-        }
-      }
-      seen |= std::uint64_t{1} << i;
+      auto parse = [&](auto m) { return ParseValue(token, &(r.*m)); };
+      if (!std::visit(parse, kFields[i].member)) return std::nullopt;
+      seen[i] = true;
       break;
     }
     if (!known) {
@@ -221,7 +146,7 @@ std::optional<engine::RunResult> ParseResult(const std::string& text) {
       // extra fields still count toward its field_count trailer).
       double ignored = 0;
       std::uint64_t ignored_u = 0;
-      if (!ParseDouble(token, &ignored) && !ParseU64(token, &ignored_u))
+      if (!ParseValue(token, &ignored) && !ParseValue(token, &ignored_u))
         return std::nullopt;
     }
   }

@@ -32,6 +32,11 @@ namespace ccsim::experiments {
 /// of one key write identical bytes.
 class ResultCache {
  public:
+  /// Entry files are named v<kFormatVersion>_<fingerprint>.result. Bump it
+  /// whenever CCSIM_RUN_RESULT_FIELDS (engine/run.h) changes, so entries of
+  /// the old format are never served (EXPERIMENTS.md, "Changing RunResult").
+  static constexpr int kFormatVersion = 9;
+
   /// Uses $CCSIM_CACHE_DIR or the default directory. Creates it on demand.
   ResultCache();
   explicit ResultCache(std::string directory);
@@ -70,11 +75,13 @@ class ResultCache {
   mutable std::atomic<std::uint64_t> simulations_run_{0};
 };
 
-/// Serialization used by the cache (exposed for tests). The serialized form
-/// ends with a `field_count N` trailer; ParseResult rejects files whose
-/// trailer is missing or does not match the number of fields read, so a
-/// truncated file is a miss instead of a silently-defaulted result. Integer
-/// counters round-trip exactly over the full uint64 range.
+/// Serialization used by the cache (exposed for tests): one `name value` line
+/// per CCSIM_RUN_RESULT_FIELDS entry, in list order, doubles at 17 significant
+/// digits, then a `field_count N` trailer. ParseResult rejects a file whose
+/// trailer is missing or does not match the number of lines read, or that
+/// lacks any listed field, so a truncated file is a miss instead of a
+/// silently-defaulted result. Integer counters round-trip exactly over the
+/// full uint64 range.
 std::string SerializeResult(const engine::RunResult& r);
 std::optional<engine::RunResult> ParseResult(const std::string& text);
 

@@ -250,18 +250,4 @@ void Network::ReleaseBatch(Batch* b) {
   free_batches_ = b;
 }
 
-void Network::ResetStats() {
-  total_sent_ = 0;
-  dropped_ = 0;
-  lost_ = 0;
-  batches_sent_ = 0;
-  msgs_batched_ = 0;
-  local_fast_ = 0;
-  rdma_ops_ = 0;
-  bytes_sent_ = 0.0;
-  link_wait_sum_ = 0.0;
-  link_msgs_ = 0;
-  counts_.fill(0);
-}
-
 }  // namespace ccsim::net

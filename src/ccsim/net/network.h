@@ -112,6 +112,8 @@ class Network {
            static_cast<bool>(faults_.node_up);
   }
 
+  // Counters accumulate over the whole run; System reports the measurement
+  // window by subtracting the values it snapshots at warmup.
   std::uint64_t messages_sent() const { return total_sent_; }
   std::uint64_t messages_sent(MsgTag tag) const {
     return counts_[static_cast<std::size_t>(tag)];
@@ -139,8 +141,6 @@ class Network {
   /// wire transmissions behind it, for mean-wait reporting.
   double link_wait_sec_sum() const { return link_wait_sum_; }
   std::uint64_t link_transmissions() const { return link_msgs_; }
-
-  void ResetStats();
 
   /// Delivery process frames live in the simulation's arena (process.h).
   sim::Arena* process_arena() { return sim_->arena(); }

@@ -9,7 +9,7 @@ namespace ccsim::stats {
 /// Log-bucketed latency histogram (HdrHistogram-style), built for response
 /// times whose interesting structure spans many orders of magnitude: fixed
 /// memory, O(1) Record, mergeable across runs, and quantiles with a bounded
-/// *relative* error everywhere in range (unlike the fixed-width Histogram,
+/// *relative* error everywhere in range (unlike a fixed-width histogram,
 /// whose absolute bin width is useless for sub-second tails under a
 /// 1000-second range).
 ///

@@ -2,10 +2,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ccsim/experiments/cache.h"
 #include "ccsim/experiments/experiments.h"
@@ -60,35 +63,81 @@ engine::RunResult SampleResult() {
   return r;
 }
 
+// A value for every listed field that differs from its default, so a field
+// that the codec dropped or mixed up with another shows in the comparison.
+// Doubles need all 17 significant digits to come back exactly.
+void SetDistinct(double* v, int i) { *v = 1.0 / (i + 3); }
+void SetDistinct(std::uint64_t* v, int i) {
+  *v = (std::uint64_t{1} << 60) + static_cast<std::uint64_t>(i);
+}
+void SetDistinct(bool* v, int) { *v = !*v; }
+
 TEST(ResultSerialization, RoundTripsAllFields) {
-  engine::RunResult r = SampleResult();
+  engine::RunResult r;
+  int i = 0;
+#define CCSIM_SET_FIELD(type, name, init) SetDistinct(&r.name, i++);
+  CCSIM_RUN_RESULT_FIELDS(CCSIM_SET_FIELD)
+#undef CCSIM_SET_FIELD
   auto parsed = ParseResult(SerializeResult(r));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->throughput, r.throughput);
-  EXPECT_DOUBLE_EQ(parsed->mean_response_time, r.mean_response_time);
-  EXPECT_DOUBLE_EQ(parsed->rt_ci_half_width, r.rt_ci_half_width);
-  EXPECT_DOUBLE_EQ(parsed->max_response_time, r.max_response_time);
-  EXPECT_EQ(parsed->commits, r.commits);
-  EXPECT_EQ(parsed->aborts, r.aborts);
-  EXPECT_DOUBLE_EQ(parsed->abort_ratio, r.abort_ratio);
-  EXPECT_DOUBLE_EQ(parsed->host_cpu_util, r.host_cpu_util);
-  EXPECT_DOUBLE_EQ(parsed->proc_cpu_util, r.proc_cpu_util);
-  EXPECT_DOUBLE_EQ(parsed->disk_util, r.disk_util);
-  EXPECT_DOUBLE_EQ(parsed->mean_blocking_time, r.mean_blocking_time);
-  EXPECT_EQ(parsed->blocked_waits, r.blocked_waits);
-  EXPECT_DOUBLE_EQ(parsed->messages_per_commit, r.messages_per_commit);
-  EXPECT_EQ(parsed->transactions_submitted, r.transactions_submitted);
-  EXPECT_EQ(parsed->live_at_end, r.live_at_end);
-  EXPECT_EQ(parsed->events, r.events);
-  EXPECT_DOUBLE_EQ(parsed->sim_seconds, r.sim_seconds);
-  EXPECT_TRUE(parsed->audited);
-  EXPECT_TRUE(parsed->serializable);
+  const engine::RunResult defaults;
+#define CCSIM_EXPECT_FIELD(type, name, init)  \
+  EXPECT_EQ(parsed->name, r.name) << #name; \
+  EXPECT_NE(parsed->name, defaults.name) << #name;
+  CCSIM_RUN_RESULT_FIELDS(CCSIM_EXPECT_FIELD)
+#undef CCSIM_EXPECT_FIELD
+}
+
+TEST(ResultSerialization, RejectsARepeatedLineInPlaceOfAnother) {
+  // Every line of the body in turn is overwritten with its successor: the
+  // trailer still matches the line count, but one field is missing.
+  std::vector<std::string> lines;
+  std::istringstream in(SerializeResult(SampleResult()));
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const std::string trailer = lines.back();
+  lines.pop_back();
+  ASSERT_EQ(trailer, "field_count " + std::to_string(lines.size()));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string text;
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      text += lines[j == i ? (i + 1) % lines.size() : j] + "\n";
+    }
+    EXPECT_FALSE(ParseResult(text + trailer + "\n").has_value())
+        << "line " << i << " replaced by a copy of line "
+        << (i + 1) % lines.size();
+  }
 }
 
 TEST(ResultSerialization, RejectsGarbage) {
   EXPECT_FALSE(ParseResult("").has_value());
   EXPECT_FALSE(ParseResult("throughput abc").has_value());
   EXPECT_FALSE(ParseResult("throughput 1.0").has_value());  // too few fields
+}
+
+TEST(ResultCache, CommittedEntriesAreCurrentAndRoundTripByteForByte) {
+  // Every committed entry must be at the current format and re-serialize to
+  // its exact bytes: a change to the field list or to the value formatting
+  // fails here until the cache is regenerated (EXPERIMENTS.md).
+  const std::string prefix =
+      "v" + std::to_string(ResultCache::kFormatVersion) + "_";
+  int entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(CCSIM_SOURCE_DIR) / "ccsim_bench_cache")) {
+    if (entry.path().extension() != ".result") continue;
+    ++entries;
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.rfind(prefix, 0), 0u) << name;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    auto parsed = ParseResult(bytes.str());
+    if (!parsed) {
+      ADD_FAILURE() << name << " does not parse";
+      continue;
+    }
+    EXPECT_EQ(SerializeResult(*parsed), bytes.str()) << name;
+  }
+  EXPECT_GT(entries, 0);
 }
 
 TEST(ResultCache, MissThenHit) {

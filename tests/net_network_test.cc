@@ -87,14 +87,6 @@ TEST_F(NetworkTest, CountsByTag) {
   EXPECT_EQ(net_.messages_sent(MsgTag::kAck), 0u);
 }
 
-TEST_F(NetworkTest, ResetStatsZeroesCounters) {
-  net_.Send(0, 1, MsgTag::kPrepare, [] {});
-  sim_.Run();
-  net_.ResetStats();
-  EXPECT_EQ(net_.messages_sent(), 0u);
-  EXPECT_EQ(net_.messages_sent(MsgTag::kPrepare), 0u);
-}
-
 TEST_F(NetworkTest, ZeroCostMessagesStillDeliver) {
   Simulation sim;
   Cpu a(&sim, 1.0), b(&sim, 1.0);

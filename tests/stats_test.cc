@@ -8,7 +8,6 @@
 
 #include "ccsim/sim/check.h"
 #include "ccsim/stats/batch_means.h"
-#include "ccsim/stats/histogram.h"
 #include "ccsim/stats/latency_histogram.h"
 #include "ccsim/stats/tally.h"
 #include "ccsim/stats/time_weighted.h"
@@ -188,103 +187,6 @@ TEST(BatchMeans, RelativeHalfWidth) {
   bm.Record(9.0);
   bm.Record(11.0);
   EXPECT_NEAR(bm.relative_half_width_95(), bm.half_width_95() / 10.0, 1e-12);
-}
-
-// --- Histogram --------------------------------------------------------------
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Record(-1.0);
-  h.Record(0.0);
-  h.Record(5.5);
-  h.Record(9.999);
-  h.Record(10.0);
-  h.Record(100.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(2.0, 4.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.5);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, QuantileOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Record(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.1), 10.0, 1.5);
-}
-
-TEST(Histogram, QuantileEmptyReturnsLo) {
-  Histogram h(1.0, 2.0, 4);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.0);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(0.0, 1.0, 2);
-  h.Record(0.5);
-  // A NaN record aborts under CCSIM_AUDIT (by design); only exercise the
-  // nonfinite-counter reset in release builds.
-  if (!sim::kAuditEnabled)
-    h.Record(std::numeric_limits<double>::quiet_NaN());
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.nonfinite(), 0u);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.bin_count(0), 0u);
-  EXPECT_EQ(h.bin_count(1), 0u);
-}
-
-TEST(Histogram, OverflowQuantileReportsTrueMax) {
-  // Regression: with tail mass past `hi`, high quantiles used to clamp to
-  // bin_hi(last) with no signal that the value was a fabricated edge.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 95; ++i) h.Record(5.0);
-  for (int i = 0; i < 5; ++i) h.Record(200.0 + i);  // 5% of mass past hi
-  ASSERT_TRUE(h.saturated());
-  EXPECT_DOUBLE_EQ(h.max(), 204.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 204.0);  // was 10.0 before the fix
-  EXPECT_LT(h.Quantile(0.5), 10.0);           // in-range quantiles unchanged
-}
-
-TEST(Histogram, NotSaturatedWithoutOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Record(-5.0);  // underflow does not saturate
-  h.Record(5.0);
-  EXPECT_FALSE(h.saturated());
-}
-
-TEST(Histogram, NonFiniteSamplesNeverReachTheBins) {
-  // Regression: NaN fails `x < lo` and +inf overflows the size_t cast, both
-  // UB before the guard. Audit builds treat a non-finite sample as a fatal
-  // simulator bug; release builds count and drop it.
-  if (sim::kAuditEnabled) {
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DEATH(h.Record(std::numeric_limits<double>::quiet_NaN()),
-                 "non-finite");
-  } else {
-    Histogram h(0.0, 10.0, 10);
-    h.Record(std::numeric_limits<double>::quiet_NaN());
-    h.Record(std::numeric_limits<double>::infinity());
-    h.Record(-std::numeric_limits<double>::infinity());
-    h.Record(5.0);
-    EXPECT_EQ(h.nonfinite(), 3u);
-    EXPECT_EQ(h.count(), 1u);  // non-finite samples are not observations
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.underflow(), 0u);
-    // The one real sample's bin is [5, 6); interpolation stays inside it.
-    EXPECT_GE(h.Quantile(0.99), 5.0);
-    EXPECT_LT(h.Quantile(0.99), 6.0);
-  }
 }
 
 // --- LatencyHistogram -------------------------------------------------------

@@ -10,8 +10,6 @@ error. Findings print one per line as `path:line: [rule] message`.
 
 Rule passes (each documented in its module):
     fingerprint         rules_fingerprint  config fields vs Fingerprint()
-    cache-schema        rules_cache        RunResult vs field table vs
-                                           migration scripts
     coro-*              rules_coro         calendar-closure captures, raw
                                            resume, unsanctioned awaitables
     rng-stream          rules_rng          stream ids from the registry
@@ -39,7 +37,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import rules_alloc
-import rules_cache
 import rules_coro
 import rules_fingerprint
 import rules_rng
@@ -62,10 +59,6 @@ def analyze(root: str) -> list[Finding]:
     findings: list[Finding] = []
     findings += rules_fingerprint.run(
         os.path.join(src, "ccsim", "config"), root)
-    findings += rules_cache.run(
-        os.path.join(src, "ccsim", "engine", "run.h"),
-        os.path.join(src, "ccsim", "experiments", "cache.cc"),
-        os.path.join(root, "tools"), root)
     findings += rules_coro.run(files)
     findings += rules_rng.run(
         files, os.path.join(src, "ccsim", "sim", "stream_ids.h"), root)

@@ -15,7 +15,6 @@ import tempfile
 from collections import Counter
 
 import rules_alloc
-import rules_cache
 import rules_coro
 import rules_fingerprint
 import rules_rng
@@ -59,39 +58,6 @@ def run(root: str) -> int:
              {"fingerprint": 3, "empty-annotation": 1})
     s.expect("fingerprint/clean",
              rules_fingerprint.run(os.path.join(fx, "fp_clean"), root), {})
-
-    # --- cache-schema -----------------------------------------------------
-    s.expect("cache/bad",
-             rules_cache.run(os.path.join(fx, "cache_bad", "run.h"),
-                             os.path.join(fx, "cache_bad", "cache.cc"),
-                             os.path.join(fx, "cache_bad", "tools"), root),
-             {"cache-schema": 6})
-    # The clean fixture's tools/ holds two scripts (v0->v1 and v1->v2):
-    # the pass checks only the latest, so the older one must not disturb a
-    # clean verdict (latest-wins).
-    s.expect("cache/clean",
-             rules_cache.run(os.path.join(fx, "cache_clean", "run.h"),
-                             os.path.join(fx, "cache_clean", "cache.cc"),
-                             os.path.join(fx, "cache_clean", "tools"), root),
-             {})
-    # Lineage violation on an otherwise-consistent table: the latest script
-    # targets the current version but declares no post-migration field
-    # count (the V7-era migration contract).
-    s.expect("cache/bad-lineage",
-             rules_cache.run(os.path.join(fx, "cache_bad_lineage", "run.h"),
-                             os.path.join(fx, "cache_bad_lineage", "cache.cc"),
-                             os.path.join(fx, "cache_bad_lineage", "tools"),
-                             root),
-             {"cache-schema": 1})
-    # Count mismatch on an otherwise-consistent table: the latest script
-    # declares a post-migration field count that disagrees with the table's
-    # row count (a migrated trailer would be rejected by ParseResult).
-    s.expect("cache/bad-count",
-             rules_cache.run(os.path.join(fx, "cache_bad_count", "run.h"),
-                             os.path.join(fx, "cache_bad_count", "cache.cc"),
-                             os.path.join(fx, "cache_bad_count", "tools"),
-                             root),
-             {"cache-schema": 1})
 
     # --- coroutine lifetimes ----------------------------------------------
     s.expect("coro/bad",
