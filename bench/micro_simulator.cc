@@ -141,6 +141,18 @@ void BM_RandomExponential(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomExponential);
 
+// Seeding cost: one item is one stream built from (master seed, stream id).
+// A System builds one per terminal, node and disk, 3,074 for megascale_256.
+void BM_RandomStreamConstruct(benchmark::State& state) {
+  std::uint64_t stream_id = 0;
+  for (auto _ : state) {
+    sim::RandomStream rng(42, stream_id++);
+    benchmark::DoNotOptimize(rng);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RandomStreamConstruct);
+
 void BM_AccessGeneration(benchmark::State& state) {
   config::SystemConfig cfg = config::PaperBaseConfig();
   db::Catalog catalog(cfg.database,

@@ -1,8 +1,8 @@
 #ifndef CCSIM_SIM_RANDOM_H_
 #define CCSIM_SIM_RANDOM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace ccsim::sim {
 
@@ -13,6 +13,14 @@ namespace ccsim::sim {
 /// run's master seed and a distinct stream id, so that changing how one model
 /// component consumes randomness does not perturb the others (common random
 /// numbers across configurations, as in the paper's DeNet methodology).
+///
+/// The generator is MT19937-64, seeded by the seed_seq expansion of four
+/// SplitMix64 words, and every variate has one specified algorithm
+/// (DESIGN.md decision 2). All of it is computed here rather than taken from
+/// <random>, whose distribution algorithms differ between standard
+/// libraries. The output is bit-identical to what the std::mt19937_64,
+/// std::seed_seq and std::*_distribution composition that ccsim used before
+/// gives under libstdc++ 12.
 class RandomStream {
  public:
   RandomStream(std::uint64_t master_seed, std::uint64_t stream_id);
@@ -33,7 +41,7 @@ class RandomStream {
   /// Raw 64-bit output (for shuffles and sampling helpers).
   std::uint64_t Next() {
     ++draws_;
-    return engine_();
+    return Draw();
   }
 
   /// Number of variates drawn so far. Diagnostic only (watchdog dumps report
@@ -41,8 +49,29 @@ class RandomStream {
   /// first stream that consumed a different amount of randomness).
   std::uint64_t draws() const { return draws_; }
 
+  /// The [0, 1) double every real variate starts from: `bits` x 2^-64,
+  /// rounded to nearest. A draw that rounds to 1 (bits >= 2^64 - 1024) is
+  /// clamped to the largest double below 1.
+  static double Canonical(std::uint64_t bits);
+
  private:
-  std::mt19937_64 engine_;
+  static constexpr std::size_t kStateWords = 312;
+
+  /// One tempered MT19937-64 output; does not count as a variate.
+  std::uint64_t Draw() {
+    if (index_ >= kStateWords) Twist();
+    std::uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Regenerates all kStateWords words and rewinds index_.
+  void Twist();
+
+  std::uint64_t state_[kStateWords];
+  std::size_t index_ = kStateWords;  // the first draw twists
   std::uint64_t draws_ = 0;
 };
 

@@ -12,7 +12,13 @@ mechanically enforces them over C++ sources:
                    for wall_seconds accounting.
   random           rand()/srand() and std::random_device are banned: all
                    randomness must flow through sim::RandomStream, seeded
-                   from the run's master seed.
+                   from the run's master seed. In src/, <random> itself is
+                   banned too (#include <random>, std::mt19937*,
+                   std::seed_seq, std::generate_canonical and every
+                   std::*_distribution): the standard leaves distribution
+                   algorithms to the library, so RandomStream computes its
+                   engine and variates itself. tests/ may use <random> as a
+                   reference.
   unordered-iter   Iterating a std::unordered_{map,set,multimap,multiset}
                    (range-for or explicit .begin()/.end() loops) is flagged:
                    hash iteration order is unspecified and changes across
@@ -69,6 +75,14 @@ WALL_CLOCK_RE = re.compile(
 RANDOM_RE = re.compile(
     r"(?<![\w])s?rand\s*\("
     r"|(?<![\w])random_device\b"
+)
+
+# <random> in src/: seeding and distributions differ between standard
+# libraries, so simulated output would too.
+STD_RANDOM_RE = re.compile(
+    r"^\s*#\s*include\s*<random>"
+    r"|(?<![\w])std\s*::\s*(?:mt19937\w*|seed_seq|generate_canonical"
+    r"|\w+_distribution)\b"
 )
 
 BARE_ASSERT_RE = re.compile(r"(?<![\w])assert\s*\(")
@@ -258,6 +272,10 @@ def lint_file(path: str, root: str) -> list[Finding]:
             add(i, "random",
                 "uncontrolled randomness; use sim::RandomStream seeded from "
                 "the master seed")
+        if in_src and STD_RANDOM_RE.search(cline):
+            add(i, "random",
+                "<random> in src/; its seeding and distributions are "
+                "library-specific, so draw through sim::RandomStream")
         if in_src and BARE_ASSERT_RE.search(cline):
             add(i, "bare-assert",
                 "bare assert(); use CCSIM_CHECK / CCSIM_DCHECK from "
@@ -441,6 +459,21 @@ def self_test() -> int:
     expect(src_rules == ["bare-assert", "no-abort", "no-abort"],
            "bad_assert.cc: expected [bare-assert, no-abort x2], got "
            + str([f.format() for f in assert_findings]))
+
+    # <random> is banned in src/ only: the same fixture under a faked src/
+    # root fires once per banned line (one more line carries a random-ok
+    # waiver), and under the real root, where it is outside src/ as tests/
+    # is, it is clean.
+    random_fixture = os.path.join(fixtures, "src", "ccsim", "sim",
+                                  "bad_random.cc")
+    random_findings = run_lint([random_fixture], fixtures)
+    expect([f.rule for f in random_findings] == ["random"] * 7,
+           "bad_random.cc: expected 7 random findings, got "
+           + str([f.format() for f in random_findings]))
+    outside_findings = run_lint([random_fixture], root)
+    expect(outside_findings == [],
+           "bad_random.cc outside src/: expected no findings, got "
+           + str([f.format() for f in outside_findings]))
 
     if failures:
         print("ccsim_lint self-test FAILED:")
