@@ -332,7 +332,7 @@ void LockTable::AuditInvariants() const {
   std::size_t queued = 0;
   std::size_t with_queue = 0;
   // Audit sweep in table order; per-entry checks are independent.
-  // ccsim-lint: unordered-iter-ok(pass/fail audit; order-independent checks)
+  // ccsim-analyze: unordered-iter-ok(order-independent pass/fail checks)
   entries_.ForEach([&](std::uint64_t key, const Entry& entry) {
     CCSIM_DCHECK_MSG(!entry.holders.empty() || QueueSize(entry) != 0,
                      "empty lock entry not erased");

@@ -37,7 +37,7 @@ struct FibHash {
 ///   - No iterators. ForEach visits entries in table (hash) order, which is
 ///     deterministic for a given insert/erase history but not sorted —
 ///     semantic iteration sites must sort keys first, exactly as they had
-///     to with std::unordered_map (enforced by ccsim_lint/ccsim_analyze).
+///     to with std::unordered_map (enforced by ccsim_analyze).
 ///   - Move-only, like the containers it replaces.
 template <typename K, typename V, typename Hash = FibHash>
 class FlatHashMap {

@@ -71,7 +71,6 @@ System::System(const config::SystemConfig& config)
     phase_queue_.Record(t.exec_start_time - t.attempt_start_time());
     phase_exec_.Record(t.prepare_start_time - t.exec_start_time);
     phase_commit_wait_.Record(sim_.Now() - t.prepare_start_time);
-    ++commits_measured_;
     if (config_.overload.txn_deadline_sec > 0.0 &&
         rt <= config_.overload.txn_deadline_sec) {
       ++commits_in_deadline_measured_;
@@ -79,11 +78,6 @@ System::System(const config::SystemConfig& config)
     if (config_.run.enable_audit) {
       commit_log_.push_back(CommittedTxn{t.id(), sim_.Now(), t.audit});
     }
-  };
-  services.on_abort = [this](txn::Transaction& t, txn::AbortReason reason) {
-    (void)t;
-    ++aborts_measured_;
-    ++aborts_by_reason_measured_[static_cast<std::size_t>(reason)];
   };
   services.on_abandon = [this](txn::Transaction& t, bool deadline_exceeded) {
     (void)t;
@@ -309,12 +303,12 @@ void System::ResetStatsAtWarmup() {
     open_source_->ResetStats(sim_.Now());
   }
   if (admission_) admission_->ResetStats(sim_.Now());
-  commits_measured_ = 0;
+  commits_at_reset_ = coordinator_->commits();
   commits_in_deadline_measured_ = 0;
   abandoned_deadline_at_reset_ = coordinator_->abandoned_deadline();
   abandoned_retry_at_reset_ = coordinator_->abandoned_retry_exhausted();
-  aborts_measured_ = 0;
-  aborts_by_reason_measured_.fill(0);
+  aborts_at_reset_ = coordinator_->aborts();
+  aborts_by_reason_at_reset_ = coordinator_->aborts_by_reason();
   messages_at_reset_ = network_->messages_sent();
   node_crashes_measured_ = 0;
   dropped_at_reset_ = network_->messages_dropped();
@@ -336,10 +330,16 @@ void System::ResetStatsAtWarmup() {
 
 RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
   RunResult r;
-  r.commits = commits_measured_;
-  r.aborts = aborts_measured_;
+  const std::uint64_t commits = coordinator_->commits() - commits_at_reset_;
+  using AR = txn::AbortReason;
+  auto aborts_of = [this](AR reason) {
+    auto i = static_cast<std::size_t>(reason);
+    return coordinator_->aborts_by_reason()[i] - aborts_by_reason_at_reset_[i];
+  };
+  r.commits = commits;
+  r.aborts = coordinator_->aborts() - aborts_at_reset_;
   r.throughput = measured_seconds > 0
-                     ? static_cast<double>(commits_measured_) / measured_seconds
+                     ? static_cast<double>(commits) / measured_seconds
                      : 0.0;
   r.mean_response_time = rt_measured_.mean();
   r.max_response_time = rt_measured_.max();
@@ -354,24 +354,16 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
   r.mean_restart_wasted_time = phase_restart_wasted_.mean();
   r.mean_active_txns = source_ ? source_->mean_active_txns(sim_.Now())
                                : open_source_->mean_active_txns(sim_.Now());
-  r.abort_ratio = commits_measured_ > 0
-                      ? static_cast<double>(aborts_measured_) /
-                            static_cast<double>(commits_measured_)
-                      : 0.0;
-  using AR = txn::AbortReason;
-  r.aborts_local_deadlock =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kLocalDeadlock)];
-  r.aborts_global_deadlock =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kGlobalDeadlock)];
-  r.aborts_wound =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kWound)];
-  r.aborts_timestamp =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kTimestampOrder)];
-  r.aborts_certification =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kCertification)];
-  r.aborts_die = aborts_by_reason_measured_[static_cast<std::size_t>(AR::kDie)];
-  r.aborts_timeout =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kTimeout)];
+  r.abort_ratio = commits > 0 ? static_cast<double>(r.aborts) /
+                                    static_cast<double>(commits)
+                              : 0.0;
+  r.aborts_local_deadlock = aborts_of(AR::kLocalDeadlock);
+  r.aborts_global_deadlock = aborts_of(AR::kGlobalDeadlock);
+  r.aborts_wound = aborts_of(AR::kWound);
+  r.aborts_timestamp = aborts_of(AR::kTimestampOrder);
+  r.aborts_certification = aborts_of(AR::kCertification);
+  r.aborts_die = aborts_of(AR::kDie);
+  r.aborts_timeout = aborts_of(AR::kTimeout);
   r.host_cpu_util = nodes_[0].resources->cpu().Utilization();
   double cpu_sum = 0.0, disk_sum = 0.0;
   int proc_nodes = config_.machine.num_proc_nodes;
@@ -395,19 +387,17 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
   r.mean_blocking_time =
       block_count > 0 ? block_sum / static_cast<double>(block_count) : 0.0;
   r.messages_per_commit =
-      commits_measured_ > 0
+      commits > 0
           ? static_cast<double>(network_->messages_sent() - messages_at_reset_) /
-                static_cast<double>(commits_measured_)
+                static_cast<double>(commits)
           : 0.0;
   r.availability = up_fraction_.Mean(sim_.Now());
   r.goodput = r.availability > 0.0 ? r.throughput / r.availability : 0.0;
   r.node_crashes = node_crashes_measured_;
   r.messages_dropped = network_->messages_dropped() - dropped_at_reset_;
   r.messages_lost = network_->messages_lost() - lost_at_reset_;
-  r.aborts_node_crash =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kNodeCrash)];
-  r.aborts_comm_timeout =
-      aborts_by_reason_measured_[static_cast<std::size_t>(AR::kCommTimeout)];
+  r.aborts_node_crash = aborts_of(AR::kNodeCrash);
+  r.aborts_comm_timeout = aborts_of(AR::kCommTimeout);
   r.forced_terminations = coordinator_->forced_terminations() - forced_at_reset_;
   r.transactions_submitted = source_ ? source_->transactions_submitted()
                                      : open_source_->transactions_submitted();
@@ -426,7 +416,7 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
       coordinator_->abandoned_retry_exhausted() - abandoned_retry_at_reset_;
   if (config_.overload.txn_deadline_sec > 0.0) {
     r.txns_deadline_missed =
-        abandoned_deadline + (commits_measured_ - commits_in_deadline_measured_);
+        abandoned_deadline + (commits - commits_in_deadline_measured_);
     r.goodput_deadline =
         measured_seconds > 0
             ? static_cast<double>(commits_in_deadline_measured_) /

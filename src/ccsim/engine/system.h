@@ -132,10 +132,10 @@ class System : public cc::CcContext {
   stats::Tally phase_exec_;
   stats::Tally phase_commit_wait_;
   stats::Tally phase_restart_wasted_;
-  std::uint64_t commits_measured_ = 0;
-  std::uint64_t aborts_measured_ = 0;
-  std::array<std::uint64_t, txn::kNumAbortReasons>
-      aborts_by_reason_measured_{};
+  // Commit and abort counts are the coordinator's minus these snapshots.
+  std::uint64_t commits_at_reset_ = 0;
+  std::uint64_t aborts_at_reset_ = 0;
+  std::array<std::uint64_t, txn::kNumAbortReasons> aborts_by_reason_at_reset_{};
   std::uint64_t messages_at_reset_ = 0;
   // Fault metrics (inert without a fault layer).
   stats::TimeWeighted up_fraction_{1.0};  // fraction of proc nodes up

@@ -27,7 +27,7 @@ inline thread_local bool g_check_dump_active = false;
     g_check_dump_active = true;
     g_check_dump.fn(g_check_dump.arg);
   }
-  std::abort();  // ccsim-lint: no-abort-ok(the one sanctioned fatal exit)
+  std::abort();  // ccsim-analyze: no-abort-ok(the one sanctioned fatal exit)
 }
 
 }  // namespace ccsim::sim::internal

@@ -185,7 +185,6 @@ void CoordinatorService::BeginAbort(const TxnPtr& txn, AbortReason reason) {
   ++txn->total_aborts;
   ++aborts_;
   ++aborts_by_reason_[static_cast<std::size_t>(reason)];
-  if (s_.on_abort) s_.on_abort(*txn, reason);
   if (txn->loads_sent == 0) {
     // No cohort was ever loaded this attempt; nothing to clean up remotely.
     DisarmPhaseTimer(txn);
@@ -404,7 +403,8 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
   // in which transactions are drained is observable (CC wakeups, counters).
   std::vector<TxnPtr> victims;
   victims.reserve(live_.size());
-  for (const auto& entry : live_) {  // ccsim-lint: unordered-iter-ok(sorted below)
+  // ccsim-analyze: unordered-iter-ok(sorted below)
+  for (const auto& entry : live_) {
     const TxnPtr& txn = entry.second;
     if (txn->phase() == TxnPhase::kRestartWait) continue;  // nothing on nodes
     for (int i = 0; i < txn->num_cohorts(); ++i) {

@@ -58,6 +58,10 @@ class CoordinatorService {
   std::uint64_t aborts_by_reason(AbortReason r) const {
     return aborts_by_reason_[static_cast<std::size_t>(r)];
   }
+  /// All per-reason abort counts, indexed by AbortReason.
+  const std::array<std::uint64_t, kNumAbortReasons>& aborts_by_reason() const {
+    return aborts_by_reason_;
+  }
   /// 2PC protocol instances completed by presuming missing acknowledgements
   /// after exhausting decision resends (fault runs only).
   std::uint64_t forced_terminations() const { return forced_terminations_; }

@@ -39,9 +39,9 @@ struct Services {
   /// instead of waiting for messages that can never arrive.
   std::function<bool(NodeId)> node_up;
 
-  /// Metrics callbacks (coordinator side, fired at the host).
+  /// Metrics callbacks (coordinator side, fired at the host). Commit and
+  /// abort counts are CoordinatorService's own counters.
   std::function<void(Transaction&)> on_commit;
-  std::function<void(Transaction&, AbortReason)> on_abort;
   /// Fired when the coordinator gives up on a transaction instead of
   /// restarting it (OverloadParams deadline or restart budget);
   /// `deadline_exceeded` distinguishes the two causes.

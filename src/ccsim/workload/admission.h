@@ -67,8 +67,9 @@ class AdmissionController {
   }
 
   /// Warmup deletion: restart the queue-depth integration and the max-depth
-  /// watermark at `now`. The monotone counters are snapshotted by the
-  /// engine instead (the at-reset idiom of engine/system.cc).
+  /// watermark at `now`. Nothing snapshots the offered/admitted/shed
+  /// counters, so RunResult reports them over the whole run, warmup
+  /// included, while deadline misses count the measurement window only.
   void ResetStats(sim::SimTime now);
 
   /// Chain-coroutine frames live in the simulation's arena (process.h).

@@ -2,7 +2,7 @@
 // across configurations) requires that one configuration + one master seed
 // produce bit-identical metrics, run after run, for every CC algorithm.
 // Nondeterminism here historically crept in through unordered-container
-// iteration order (deadlock victim choice, event ordering); tools/ccsim_lint
+// iteration order (deadlock victim choice, event ordering); ccsim_analyze
 // guards the source, and this test guards the behavior. It runs under both
 // normal and CCSIM_AUDIT builds.
 

@@ -192,7 +192,7 @@ TEST(BatchMeans, RelativeHalfWidth) {
 // --- LatencyHistogram -------------------------------------------------------
 
 // Deterministic xorshift64* generator for test sample streams (std::rand and
-// random_device are banned by ccsim_lint; determinism matters for CI).
+// random_device are banned by ccsim_analyze; determinism matters for CI).
 class TestRng {
  public:
   explicit TestRng(std::uint64_t seed) : state_(seed) {}

@@ -302,38 +302,37 @@ def function_body(sf: SourceFile, signature_re: str) -> tuple[str, int] | None:
 
 
 # --------------------------------------------------------------------------
-# Shared helpers for container/variable discovery (used by the taint pass).
-
-# std::unordered_* plus the in-tree open-addressing FlatHashMap
-# (common/flat_hash.h): its ForEach order is hash-table order, the same
-# determinism hazard as std::unordered_map iteration.
-UNORDERED_DECL_RE = re.compile(
-    r"(?:std\s*::\s*)?unordered_(?:multi)?(?:map|set)\s*<"
-    r"|(?:common\s*::\s*)?FlatHashMap\s*<")
+# Container/variable discovery (unordered-iter and hot-path-alloc passes).
 
 
-def find_unordered_names(sf_or_text) -> set[str]:
-    """Names declared with an unordered container type (same heuristic as
-    ccsim_lint: balanced template args, then an identifier that starts a
-    declarator)."""
-    text = sf_or_text.text if isinstance(sf_or_text, SourceFile) else sf_or_text
+def declared_names(sf: SourceFile, decl_re: re.Pattern, root: str) -> set[str]:
+    """Names declared with a container type in `sf` or its companion files.
+
+    `decl_re` matches a type up to and including its template's '<'. After
+    the balanced template arguments, an identifier followed by ; = { ( , )
+    marks a declarator. Members are usually declared in the header and used
+    in the sibling .cc, hence the companions. Type aliases and nested uses
+    are conservatively included."""
     names: set[str] = set()
-    for m in UNORDERED_DECL_RE.finditer(text):
-        i = m.end()  # just past '<'
-        depth = 1
-        n = len(text)
-        while i < n and depth > 0:
-            if text[i] == "<":
-                depth += 1
-            elif text[i] == ">":
-                depth -= 1
-            i += 1
-        if depth != 0:
-            continue
-        rest = text[i:i + 160]
-        dm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]", rest)
-        if dm:
-            names.add(dm.group(1))
+    texts = [sf.text] + [SourceFile(p, root).text
+                         for p in companion_paths(sf.path)]
+    for text in texts:
+        for m in decl_re.finditer(text):
+            i = m.end()  # just past '<'
+            depth = 1
+            n = len(text)
+            while i < n and depth > 0:
+                if text[i] == "<":
+                    depth += 1
+                elif text[i] == ">":
+                    depth -= 1
+                i += 1
+            if depth != 0:
+                continue
+            dm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]",
+                          text[i:i + 160])
+            if dm:
+                names.add(dm.group(1))
     return names
 
 
@@ -349,18 +348,12 @@ def companion_paths(path: str) -> list[str]:
     return out
 
 
-def collect_files(targets: list[str],
-                  skip_dirs: tuple[str, ...] = ("build", ".git",
-                                                "lint_fixtures")) -> list[str]:
+def collect_files(dirs: list[str]) -> list[str]:
+    """Every C++ source under `dirs`, in a stable (sorted) order."""
     files: list[str] = []
-    for t in targets:
-        if os.path.isfile(t):
-            files.append(t)
-            continue
-        if not os.path.isdir(t):
-            raise FileNotFoundError(t)
-        for dirpath, dirnames, filenames in os.walk(t):
-            dirnames[:] = sorted(d for d in dirnames if d not in skip_dirs)
+    for d in dirs:
+        for dirpath, dirnames, filenames in os.walk(d):
+            dirnames.sort()
             for name in sorted(filenames):
                 if name.endswith(CXX_EXTENSIONS):
                     files.append(os.path.join(dirpath, name))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 
-from cppmodel import (Finding, SourceFile, add_finding, companion_paths,
+from cppmodel import (Finding, SourceFile, add_finding, declared_names,
                       match_delim)
 
 HOT_PATH_RE = re.compile(r"ccsim-analyze:\s*hot-path\(([^)]*)\)")
@@ -59,28 +59,6 @@ DIRECT_SINKS = (
     (re.compile(r"\b(?:make_unique|make_shared|allocate_shared)\s*<"),
      "smart-pointer factory allocates from the general-purpose heap"),
 )
-
-
-def _find_node_container_names(text: str) -> set[str]:
-    """Names declared with a node-based container type (the same balanced
-    template-argument heuristic as find_unordered_names)."""
-    names: set[str] = set()
-    for m in NODE_CONTAINER_DECL_RE.finditer(text):
-        i = m.end()  # just past '<'
-        depth = 1
-        n = len(text)
-        while i < n and depth > 0:
-            if text[i] == "<":
-                depth += 1
-            elif text[i] == ">":
-                depth -= 1
-            i += 1
-        if depth != 0:
-            continue
-        dm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*[;={(,)]", text[i:i + 160])
-        if dm:
-            names.add(dm.group(1))
-    return names
 
 
 def _hot_path_bodies(sf: SourceFile) -> list[tuple[int, int, int]]:
@@ -108,9 +86,7 @@ def _check_file(sf: SourceFile, root: str, findings: list[Finding]) -> None:
     bodies = _hot_path_bodies(sf)
     if not bodies:
         return
-    names = _find_node_container_names(sf.text)
-    for comp in companion_paths(sf.path):
-        names |= _find_node_container_names(SourceFile(comp, root).text)
+    names = declared_names(sf, NODE_CONTAINER_DECL_RE, root)
 
     sinks = list(DIRECT_SINKS)
     if names:

@@ -1,5 +1,5 @@
-// Clean fixture for ccsim_lint --self-test: none of the rules fire here.
-// Never compiled.
+// Clean fixture for ccsim_analyze --self-test: none of the token or
+// unordered-iter rules fire here. Never compiled.
 
 #include <chrono>
 #include <map>
@@ -22,7 +22,7 @@ void Clean() {
   (void)it;
 
   std::unordered_map<int, int> sums;
-  // ccsim-lint: unordered-iter-ok(commutative sum; order cannot matter)
+  // ccsim-analyze: unordered-iter-ok(commutative sum; order cannot matter)
   for (const auto& [k, v] : sums) {
     (void)k;
     (void)v;

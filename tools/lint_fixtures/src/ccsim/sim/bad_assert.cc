@@ -14,7 +14,7 @@ void BadAssert(int x) {
 void BadTermination(int x) {
   if (x < 0) std::abort();  // no-abort
   if (x == 0) exit(1);      // no-abort
-  // ccsim-lint: no-abort-ok(fixture exercises the waiver path)
+  // ccsim-analyze: no-abort-ok(fixture exercises the waiver path)
   if (x > 100) quick_exit(2);  // waived
   BadAssert(x);  // a call named like a checker is fine: AbortCohort etc.
 }

@@ -13,7 +13,7 @@ double Draw(std::seed_seq& seq) {  // random
   std::exponential_distribution<double> delay(2.0);  // random
   double u = std::generate_canonical<double, 53>(engine);  // random
   // Mentions of std::mt19937_64 and std::seed_seq in comments are fine.
-  // ccsim-lint: random-ok(fixture exercises the waiver path)
+  // ccsim-analyze: random-ok(fixture exercises the waiver path)
   std::bernoulli_distribution coin(0.5);
   return u + pick(engine) + delay(engine) + coin(engine);
 }

@@ -1,4 +1,4 @@
-// Seeded-violation fixture for ccsim_lint --self-test. Never compiled.
+// Seeded-violation fixture for ccsim_analyze --self-test. Never compiled.
 // Expected findings: 3x wall-clock, 2x random, 2x unordered-iter,
 // 2x include-hygiene, 1x empty-annotation.
 
@@ -26,7 +26,7 @@ void Violations() {
     (void)k;
     (void)v;
   }
-  // ccsim-lint: unordered-iter-ok()
+  // ccsim-analyze: unordered-iter-ok()
   for (int x : seen) {                   // empty-annotation (reason missing)
     (void)x;
   }
@@ -37,7 +37,7 @@ void NotViolations() {
   const char* s = "time(nullptr) in a string is fine";
   (void)s;
   std::unordered_map<int, int> audited;
-  // ccsim-lint: unordered-iter-ok(summing is commutative)
+  // ccsim-analyze: unordered-iter-ok(summing is commutative)
   for (const auto& [k, v] : audited) {   // waived by the line above
     (void)k;
     (void)v;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Static-analysis driver for ccsim: runs the repo linter (always) and
-# clang-tidy (when installed) over the library sources.
+# Static-analysis script for ccsim: runs tools/ccsim_analyze (always: its
+# fixture self-test, then the tree) and clang-tidy (when installed) over the
+# library sources.
 #
 # Usage:
 #   tools/run_static_analysis.sh [BUILD_DIR] [-- FILE...]
@@ -12,11 +13,11 @@
 #
 # Exit status is non-zero if either tool reports findings. clang-tidy being
 # absent is a skip, not a failure, so the script is safe in minimal
-# containers; CI installs clang-tidy for the lint job.
+# containers. CI's static-analysis job runs the same two stages as separate
+# steps, with clang-tidy installed.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
-REPO_ROOT=$(pwd)
 
 BUILD_DIR=build
 if [[ $# -gt 0 && "$1" != "--" ]]; then
@@ -28,14 +29,6 @@ if [[ $# -gt 0 && "$1" == "--" ]]; then
 fi
 
 STATUS=0
-
-echo "== ccsim_lint =="
-if ! python3 tools/ccsim_lint.py --self-test; then
-  STATUS=1
-fi
-if ! python3 tools/ccsim_lint.py src tests bench; then
-  STATUS=1
-fi
 
 echo "== ccsim_analyze =="
 if ! python3 tools/ccsim_analyze --self-test; then
