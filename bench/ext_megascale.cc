@@ -1,4 +1,4 @@
-// Megascale extension (ROADMAP item 5): 256- and 1024-node machines with
+// Megascale extension (not in the paper): 256- and 1024-node machines with
 // millions of pages, an order of magnitude past the paper's figures. The
 // workload is a scaleup of Experiment 1 — per-transaction parallelism stays
 // at 8 cohorts while relations and terminals grow with the machine — so the

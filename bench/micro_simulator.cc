@@ -180,9 +180,9 @@ void BM_LockTableGrantRelease(benchmark::State& state) {
   txn->BeginAttempt(0.0);
   int page = 0;
   for (auto _ : state) {
-    PageRef p{0, page++ & 1023};
-    table.Request(txn, p, cc::LockMode::kExclusive);
-    table.ReleaseAll(1, false);
+    const workload::PageAccess access{PageRef{0, page++ & 1023}, true};
+    table.Request(txn, access.page, cc::LockMode::kExclusive);
+    table.ReleaseAll(1, {&access, 1}, false);
   }
 }
 BENCHMARK(BM_LockTableGrantRelease);

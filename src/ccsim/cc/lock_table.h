@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ccsim/cc/cc_manager.h"
@@ -14,6 +15,7 @@
 #include "ccsim/sim/simulation.h"
 #include "ccsim/stats/tally.h"
 #include "ccsim/txn/transaction.h"
+#include "ccsim/workload/spec.h"
 
 namespace ccsim::cc {
 
@@ -37,20 +39,23 @@ constexpr bool Compatible(LockMode held, LockMode requested) {
 /// current holders (prevents writer starvation).
 ///
 /// Storage is sparse and flat (DESIGN.md decision #12): entries live in an
-/// open-addressing table keyed by page id, holders and waiters in
-/// small-vectors with inline capacity. A table tracking millions of pages
-/// allocates nothing per lock in the common case — the former
-/// map/deque-node churn dominated the megascale memory profile. Holders are
-/// kept sorted by TxnId so every holder iteration (blockers, waits-for
-/// edges, grant checks) sees the exact order the old std::map gave:
-/// deadlock victim choice, and hence the determinism goldens, are
-/// byte-identical.
+/// open-addressing table keyed by page id, 32 bytes a slot. An entry with
+/// one holder and nobody waiting - almost every locked page - keeps that
+/// holder inline; a second holder or a first waiter moves the entry's
+/// holders and wait queue into one heap block, which goes again once the
+/// page is back to one holder and no waiter. Holders and waiters are
+/// TxnIds; the one handle per transaction lives in the table's registry,
+/// where blockers, waits-for edges and the deadlock search look up handles
+/// and initial timestamps. Holders are kept sorted by TxnId so every
+/// holder iteration (blockers, waits-for edges, grant checks) sees the
+/// exact order the old std::map gave: deadlock victim choice, and hence
+/// the determinism goldens, are byte-identical.
 ///
 /// Waits-for information is read straight off the queues (DESIGN.md
-/// decision #15): the keys of entries with a wait queue are kept in a
-/// sorted index, so the Snoop's export walks only those, and local deadlock
-/// detection searches from the blocked transaction without building a
-/// graph.
+/// decision #15): the keys of entries with waiters are kept in a sorted
+/// index, so the Snoop's export and the local deadlock search walk only
+/// those, and local detection searches from the blocked transaction
+/// without building a graph.
 class LockTable {
  public:
   explicit LockTable(sim::Simulation* sim) : sim_(sim) {}
@@ -84,16 +89,35 @@ class LockTable {
     std::vector<txn::TxnPtr> blockers;
   };
 
-  /// Requests `mode` on `page` for `txn`. Re-requesting a held mode (or a
-  /// weaker one) grants immediately; holding kShared and requesting
-  /// kExclusive queues an upgrade.
+  /// Requests `mode` on `page` for `txn`, registering `txn` if it is not
+  /// yet. Re-requesting a held mode (or a weaker one) grants immediately;
+  /// holding kShared and requesting kExclusive queues an upgrade.
   RequestResult Request(const txn::TxnPtr& txn, const PageRef& page,
                         LockMode mode);
 
-  /// Releases everything `txn` holds or waits for on this table. Pending
-  /// requests complete with kAborted if `abort_waiters` is true (abort path;
-  /// commit never leaves pending requests). Wakes newly grantable waiters.
-  void ReleaseAll(TxnId txn, bool abort_waiters);
+  /// Registers `txn` before its first request, so FindTxn resolves it from
+  /// then on (the managers register a cohort when it begins).
+  void Register(const txn::TxnPtr& txn) {
+    registry_.TryEmplace(txn->id(), txn);
+  }
+
+  /// The handle of a registered transaction, or nullptr. A transaction is
+  /// registered from its first Request (or Register) to its ReleaseAll.
+  txn::TxnPtr FindTxn(TxnId id) const {
+    const txn::TxnPtr* handle = registry_.Find(id);
+    return handle != nullptr ? *handle : nullptr;
+  }
+
+  /// Releases everything `txn` holds or waits for on this table and
+  /// unregisters it. `accesses` are its cohort's page accesses: a cohort
+  /// locks only those pages, so they cover every lock it holds or waits
+  /// for here. The pages are visited in ascending key order; those `txn`
+  /// neither holds nor waits on (never reached before an abort) are
+  /// skipped. Pending requests complete with kAborted if `abort_waiters`
+  /// is true (abort path; commit never leaves pending requests). Wakes
+  /// newly grantable waiters.
+  void ReleaseAll(TxnId txn, std::span<const workload::PageAccess> accesses,
+                  bool abort_waiters);
 
   /// Cancels one waiting request of `txn` on `page`, completing it with
   /// kAborted and waking newly grantable waiters. Held locks are untouched.
@@ -131,53 +155,58 @@ class LockTable {
   /// Audit-mode consistency sweep over every entry: holders are sorted and
   /// mutually compatible, no transaction is both granted and waiting on one
   /// page (except a queued upgrade), upgrades form a prefix of the queue, no
-  /// transaction is queued twice, waiting_count_ matches the queues,
-  /// txn_keys_ covers every holder and waiter, and queued_keys_ lists
-  /// exactly the entries that have a wait queue. No-op unless built with
-  /// CCSIM_AUDIT.
+  /// transaction is queued twice, waiting_count_ matches the queues, every
+  /// holder and waiter is registered, entries use their heap block only
+  /// while they need it, and queued_keys_ lists exactly the entries that
+  /// have waiters. No-op unless built with CCSIM_AUDIT.
   void AuditInvariants() const;
 
  private:
   struct Holder {
     TxnId id;
     LockMode mode;
-    txn::TxnPtr txn;  // live handle, for blocker reporting
   };
   struct Waiter {
-    txn::TxnPtr txn;
+    TxnId id;
     LockMode mode;
     bool is_upgrade;
     std::shared_ptr<sim::Completion<AccessOutcome>> completion;
     sim::SimTime since;
   };
   using WaitQueue = common::SmallVec<Waiter, 2>;
+  /// The heap part of a shared or contended entry.
+  struct Crowd {
+    /// Sorted by TxnId ascending; at most one holder when exclusive.
+    common::SmallVec<Holder, 2> holders;
+    /// FIFO, upgrades form a prefix.
+    WaitQueue queue;
+  };
   /// Sized for the dominant population: tens of thousands of pages are
   /// locked at once in a megascale run, almost all with a single holder and
   /// nobody waiting (measured ~25k locked vs ~150 waiting at 256 nodes).
-  /// One inline holder, and the wait queue behind a pointer that exists
-  /// only while someone waits, keep the flat table's slots at 72 bytes
-  /// instead of 176 - table capacity is high-water, so slot size is the
-  /// multiplier on the whole footprint.
+  /// Table capacity is high-water, so slot size is the multiplier on the
+  /// whole footprint: the sole holder sits inline, everything else behind
+  /// one pointer that is null in the common case.
   struct Entry {
-    /// Sorted by TxnId ascending; at most one holder when exclusive.
-    common::SmallVec<Holder, 1> holders;
-    /// FIFO, upgrades form a prefix. Null when empty (the common case);
-    /// dropped eagerly when the last waiter leaves.
-    std::unique_ptr<WaitQueue> queue;
+    /// The only holder, while `crowd` is null.
+    Holder solo;
+    /// Every holder and the wait queue, while the page has two or more
+    /// holders or any waiter (or mid-release, none of either).
+    std::unique_ptr<Crowd> crowd;
   };
-  using KeyList = common::SmallVec<std::uint64_t, 8>;
 
-  static std::size_t QueueSize(const Entry& entry) {
-    return entry.queue ? entry.queue->size() : 0;
+  static std::span<Holder> Holders(Entry& entry) {
+    if (!entry.crowd) return {&entry.solo, 1};
+    return {entry.crowd->holders.begin(), entry.crowd->holders.size()};
   }
-  /// The queue of `key`'s entry, allocating it (and indexing the key in
-  /// queued_keys_) on first use.
-  WaitQueue& EnsureQueue(std::uint64_t key, Entry& entry);
-  /// Frees the queue allocation once it is empty again, and drops the key
-  /// from queued_keys_.
-  void PruneQueue(std::uint64_t key, Entry& entry);
+  static std::span<const Holder> Holders(const Entry& entry) {
+    return Holders(const_cast<Entry&>(entry));
+  }
+  static std::size_t QueueSize(const Entry& entry) {
+    return entry.crowd ? entry.crowd->queue.size() : 0;
+  }
 
-  /// Calls fn(blocker) for every transaction that a request by `txn` for
+  /// Calls fn(blocker id) for every transaction that a request by `txn` for
   /// `mode`, queued behind the first `ahead` waiters of `entry`, waits for:
   /// the incompatible holders (self excluded, TxnId ascending), then the
   /// conflicting requests queued ahead (queue order).
@@ -187,31 +216,48 @@ class LockTable {
   /// Appends the transactions `txn` waits for, in WaitsForEdges() order:
   /// the keys it waits on ascending, and per key its blockers.
   void AppendWaitsFor(TxnId txn, std::vector<WaitNode>& out);
+  /// The registered handle of a holder or waiter.
+  const txn::TxnPtr& Handle(TxnId id) const;
+  /// The search's view of a holder or waiter.
+  WaitNode NodeOf(TxnId id) const { return {id, Handle(id)->initial_ts()}; }
 
-  /// Holder slot for `txn` in sorted position, or nullptr.
+  /// Holder slot for `txn`, or nullptr.
   static Holder* FindHolder(Entry& entry, TxnId txn);
   static const Holder* FindHolder(const Entry& entry, TxnId txn);
-  /// Inserts keeping holders sorted by TxnId.
-  static void InsertHolder(Entry& entry, TxnId txn, LockMode mode,
-                           txn::TxnPtr handle);
-  static void EraseHolder(Entry& entry, TxnId txn);
+  /// Inserts keeping holders sorted by TxnId; the entry's sole holder moves
+  /// into a new crowd first.
+  static void InsertHolder(Entry& entry, TxnId txn, LockMode mode);
+  /// Moves the sole holder into a new crowd, if the entry has none yet.
+  static Crowd& EnsureCrowd(Entry& entry);
+  /// Inserts a waiter at `pos` of `key`'s queue, indexing the key in
+  /// queued_keys_ when it is the first.
+  void PushWaiter(std::uint64_t key, Crowd& crowd, std::size_t pos,
+                  Waiter waiter);
+  /// Removes and returns waiter `pos` of `key`'s queue, dropping the key
+  /// from queued_keys_ when it was the last.
+  Waiter PopWaiter(std::uint64_t key, Crowd& crowd, std::size_t pos);
 
   bool CanGrant(const Entry& entry, TxnId txn, LockMode mode) const;
+  /// Grants what `key`'s queue now allows, then returns the entry to its
+  /// resting shape: erased when nobody holds or waits, back to an inline
+  /// holder when one holder and no waiter are left.
   void PumpQueue(std::uint64_t key);
 
   sim::Simulation* sim_;
   GrantCallback on_delayed_grant_;
   bool allow_queue_jump_ = false;
   common::FlatHashMap<std::uint64_t, Entry> entries_;
-  // All lock keys a txn holds or waits on (for ReleaseAll and the deadlock
-  // search).
-  common::FlatHashMap<TxnId, KeyList> txn_keys_;
-  // Keys of the entries that have a wait queue, ascending.
+  static_assert(decltype(entries_)::slot_bytes() <= 32,
+                "a lock-table slot is 32 bytes: key, inline holder, pointer");
+  // The handle of every transaction that holds, waits or has registered.
+  common::FlatHashMap<TxnId, txn::TxnPtr> registry_;
+  // Keys of the entries that have waiters, ascending.
   std::vector<std::uint64_t> queued_keys_;
   stats::Tally wait_times_;
   std::size_t waiting_count_ = 0;
   // Deadlock-search scratch, reused across FindCycleFrom calls.
   CycleSearch search_;
+  // ReleaseAll's sorted keys, reused across calls.
   std::vector<std::uint64_t> key_scratch_;
 };
 

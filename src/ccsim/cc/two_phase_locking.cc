@@ -20,12 +20,7 @@ TwoPhaseLockingManager::TwoPhaseLockingManager(CcContext* ctx, NodeId node)
 void TwoPhaseLockingManager::BeginCohort(const txn::TxnPtr& txn,
                                          int cohort_index) {
   (void)cohort_index;
-  registry_[txn->id()] = txn;
-}
-
-txn::TxnPtr TwoPhaseLockingManager::FindTxn(TxnId id) const {
-  auto it = registry_.find(id);
-  return it != registry_.end() ? it->second : nullptr;
+  lock_table_.Register(txn);
 }
 
 std::shared_ptr<sim::Completion<AccessOutcome>>
@@ -63,15 +58,13 @@ void TwoPhaseLockingManager::CommitCohort(const txn::TxnPtr& txn,
   for (const auto& access : spec.accesses) {
     if (access.is_write) ctx_->AuditInstallWrite(*txn, access.page);
   }
-  lock_table_.ReleaseAll(txn->id(), /*abort_waiters=*/false);
-  registry_.erase(txn->id());
+  lock_table_.ReleaseAll(txn->id(), spec.accesses, /*abort_waiters=*/false);
 }
 
 void TwoPhaseLockingManager::AbortCohort(const txn::TxnPtr& txn,
                                          int cohort_index) {
-  (void)cohort_index;
-  lock_table_.ReleaseAll(txn->id(), /*abort_waiters=*/true);
-  registry_.erase(txn->id());
+  lock_table_.ReleaseAll(txn->id(), txn->cohort_spec(cohort_index).accesses,
+                         /*abort_waiters=*/true);
 }
 
 }  // namespace ccsim::cc

@@ -2,7 +2,6 @@
 #define CCSIM_CC_TWO_PHASE_LOCKING_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ccsim/cc/cc_manager.h"
@@ -45,8 +44,8 @@ class TwoPhaseLockingManager : public CcManager {
   void ResetStats() override { lock_table_.ResetStats(); }
 
   /// Transaction handle lookup for victim aborts (local detection and the
-  /// Snoop both resolve victims through the managers' registries).
-  txn::TxnPtr FindTxn(TxnId id) const;
+  /// Snoop both resolve victims through the lock tables' registries).
+  txn::TxnPtr FindTxn(TxnId id) const { return lock_table_.FindTxn(id); }
 
   const LockTable& lock_table() const { return lock_table_; }
 
@@ -59,7 +58,6 @@ class TwoPhaseLockingManager : public CcManager {
   CcContext* ctx_;
   NodeId node_;
   LockTable lock_table_;
-  std::unordered_map<TxnId, txn::TxnPtr> registry_;
 };
 
 }  // namespace ccsim::cc

@@ -65,6 +65,9 @@ class FlatHashMap {
 
   std::size_t size() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
+  /// Bytes per slot: capacity is high-water, so this multiplies the
+  /// footprint of a large table.
+  static constexpr std::size_t slot_bytes() noexcept { return sizeof(Slot); }
 
   /// Pointer to the value for `key`, or nullptr. Invalidated by mutation.
   V* Find(K key) {

@@ -11,14 +11,14 @@
 namespace ccsim::common {
 
 /// A vector with inline storage for its first `N` elements, used where the
-/// common case is tiny (lock holders, wait queues, per-txn key lists) and
+/// common case is tiny (lock holders, wait queues, waits-for out-edges) and
 /// per-element heap nodes would dominate memory: a SmallVec that never
 /// exceeds N elements performs zero heap allocations, so churning millions
 /// of them leaves malloc untouched (the megascale memory diet, DESIGN.md
 /// decision #12).
 ///
-/// Deliberately minimal: grow-only capacity, move-only (the element types it
-/// holds — TxnPtr, Completion handles — are reference-counted, and copying a
+/// Deliberately minimal: grow-only capacity, move-only (some element types
+/// it holds — Completion handles — are reference-counted, and copying a
 /// container of them is always a bug in this codebase), and only the
 /// operations the lock table and waits-for graph need. Iterators are plain
 /// pointers; any mutation invalidates them.
@@ -106,13 +106,6 @@ class SmallVec {
   }
 
   void clear() noexcept { DestroyElements(); }
-
-  /// Shrinks to `n` elements (n <= size), destroying the tail. The
-  /// sort+unique idiom needs this in place of a range erase.
-  void truncate(std::size_t n) {
-    CCSIM_DCHECK(n <= size_);
-    while (size_ > n) pop_back();
-  }
 
   void reserve(std::size_t n) {
     if (n > capacity_) Grow(n);

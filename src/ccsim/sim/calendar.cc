@@ -202,9 +202,29 @@ bool Calendar::SplitBucket(Rung& r, std::uint32_t b) {
   ++depth_;
   for (const Entry& e : bucket) InsertIntoRung(child, e);
   r.count -= bucket.size();
-  bucket.clear();
+  if (&r == &rungs_[0]) {
+    // The bottom rung walks forward through up to kMaxBuckets buckets and
+    // visits each about once per shaping, so a split bucket's storage would
+    // sit idle for the rest of the run, and with dense events the idle
+    // storage would grow with simulated time. Child rungs are re-shaped for
+    // every split and reuse their buckets' capacity, so the warm path stays
+    // allocation-free.
+    std::vector<Entry>().swap(bucket);
+  } else {
+    bucket.clear();
+  }
   ClearBit(r, b);
   return true;
+}
+
+std::size_t Calendar::bucket_capacity() const {
+  std::size_t total = 0;
+  for (const Rung& r : rungs_) {
+    for (const std::vector<Entry>& bucket : r.buckets) {
+      total += bucket.capacity();
+    }
+  }
+  return total;
 }
 
 std::uint32_t Calendar::FirstOccupied(const Rung& r) const {

@@ -122,6 +122,9 @@ class Calendar {
   /// Capacity diagnostics: slots ever allocated (high-water mark of
   /// concurrently pending ladder events).
   std::size_t slot_capacity() const { return slots_.size(); }
+  /// Entries the rung buckets keep storage for, occupied or not. Bounded by
+  /// the pending events and the rung pool, not by simulated time.
+  std::size_t bucket_capacity() const;
 
   /// Audit-mode sweep: every bucket entry sits in the bucket its time maps
   /// to, occupancy bitmaps and counts match bucket contents, live entries
@@ -187,7 +190,8 @@ class Calendar {
   // cut into nbuckets equal-width buckets, plus an occupancy bitmap so the
   // first non-empty bucket is found with a couple of word scans. Rung
   // objects are pooled in rungs_ and reused, so their bucket vectors keep
-  // their capacity across activations.
+  // their capacity across activations - except a split bucket of the
+  // bottom rung, which hands its storage back (SplitBucket).
   struct Rung {
     SimTime base = 0.0;
     double width = 1.0;

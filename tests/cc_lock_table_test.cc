@@ -16,6 +16,10 @@ class LockTableTest : public ::testing::Test {
     EXPECT_TRUE(c->done());
     return c->TakeValue();
   }
+  /// Commit (abort = false) or abort release of `t`'s single cohort.
+  void Release(const txn::TxnPtr& t, bool abort) {
+    table_.ReleaseAll(t->id(), t->cohort_spec(0).accesses, abort);
+  }
 
   sim::Simulation sim_;
   LockTable table_{&sim_};
@@ -67,11 +71,11 @@ TEST_F(LockTableTest, ReleaseWakesWaiterInFifoOrder) {
   table_.Request(t1, page_, LockMode::kExclusive);
   auto r2 = table_.Request(t2, page_, LockMode::kExclusive);
   auto r3 = table_.Request(t3, page_, LockMode::kExclusive);
-  table_.ReleaseAll(1, false);
+  Release(t1, false);
   EXPECT_TRUE(r2.completion->done());
   EXPECT_FALSE(r3.completion->done());
   EXPECT_EQ(Value(r2.completion), AccessOutcome::kGranted);
-  table_.ReleaseAll(2, false);
+  Release(t2, false);
   EXPECT_EQ(Value(r3.completion), AccessOutcome::kGranted);
 }
 
@@ -82,7 +86,7 @@ TEST_F(LockTableTest, ReleaseGrantsAllCompatibleSharedWaiters) {
   table_.Request(t1, page_, LockMode::kExclusive);
   auto r2 = table_.Request(t2, page_, LockMode::kShared);
   auto r3 = table_.Request(t3, page_, LockMode::kShared);
-  table_.ReleaseAll(1, false);
+  Release(t1, false);
   EXPECT_TRUE(r2.completion->done());
   EXPECT_TRUE(r3.completion->done());
 }
@@ -135,7 +139,7 @@ TEST_F(LockTableTest, UpgradeWithOtherHoldersWaitsAtFront) {
   ASSERT_EQ(up.blockers.size(), 1u);
   EXPECT_EQ(up.blockers[0]->id(), 2u);
   // When t2 releases, the upgrade is granted before t3's exclusive.
-  table_.ReleaseAll(2, false);
+  Release(t2, false);
   EXPECT_TRUE(up.completion->done());
   EXPECT_FALSE(r3.completion->done());
 }
@@ -145,7 +149,7 @@ TEST_F(LockTableTest, AbortReleaseCompletesWaitersWithAborted) {
   auto t2 = MakeTxn(2, 1, {page_});
   table_.Request(t1, page_, LockMode::kExclusive);
   auto r2 = table_.Request(t2, page_, LockMode::kShared);
-  table_.ReleaseAll(2, true);  // t2 aborts while waiting
+  Release(t2, true);  // t2 aborts while waiting
   EXPECT_EQ(Value(r2.completion), AccessOutcome::kAborted);
   // The lock is still held by t1.
   EXPECT_TRUE(table_.HoldsLock(1, page_));
@@ -157,13 +161,87 @@ TEST_F(LockTableTest, ReleaseAllCoversMultiplePages) {
   table_.Request(t1, page_, LockMode::kShared);
   table_.Request(t1, page2_, LockMode::kExclusive);
   EXPECT_EQ(table_.num_locked_pages(), 2u);
-  table_.ReleaseAll(1, false);
+  Release(t1, false);
   EXPECT_EQ(table_.num_locked_pages(), 0u);
 }
 
 TEST_F(LockTableTest, ReleaseUnknownTxnIsNoOp) {
-  table_.ReleaseAll(99, true);
+  table_.ReleaseAll(99, MakeTxn(99, 1, {page_})->cohort_spec(0).accesses,
+                    true);
   EXPECT_EQ(table_.num_locked_pages(), 0u);
+}
+
+TEST_F(LockTableTest, ReleaseAllSkipsPagesTheCohortNeverReached) {
+  // t1's cohort would access page_, page2_ and page3, but aborts after
+  // locking only page_. Others hold and wait on the pages it never reached;
+  // releasing its full access list must leave them exactly as they were.
+  const PageRef page3{0, 3};
+  auto t1 = MakeTxn(1, 1, {page_, page2_, page3});
+  auto t2 = MakeTxn(2, 1, {page2_});
+  auto t3 = MakeTxn(3, 1, {page2_});
+  auto t4 = MakeTxn(4, 1, {page3});
+  auto t5 = MakeTxn(5, 1, {page3});
+  int delayed_grants = 0;
+  table_.set_on_delayed_grant(
+      [&](const txn::TxnPtr&, const PageRef&, LockMode) { ++delayed_grants; });
+  table_.Request(t1, page_, LockMode::kExclusive);
+  table_.Request(t2, page2_, LockMode::kExclusive);
+  auto waiting = table_.Request(t3, page2_, LockMode::kShared);
+  table_.Request(t4, page3, LockMode::kShared);
+  table_.Request(t5, page3, LockMode::kShared);
+  ASSERT_FALSE(waiting.granted_immediately);
+
+  Release(t1, /*abort=*/true);
+
+  EXPECT_FALSE(table_.HoldsLock(1, page_));
+  EXPECT_EQ(table_.FindTxn(1), nullptr);
+  EXPECT_TRUE(table_.HoldsLock(2, page2_));
+  EXPECT_TRUE(table_.HoldsLock(4, page3));
+  EXPECT_TRUE(table_.HoldsLock(5, page3));
+  EXPECT_FALSE(waiting.completion->done());
+  EXPECT_TRUE(table_.IsWaiting(3));
+  EXPECT_EQ(table_.num_locked_pages(), 2u);
+  EXPECT_EQ(table_.num_waiting_requests(), 1u);
+  EXPECT_EQ(delayed_grants, 0);
+  EXPECT_EQ(table_.wait_times().count(), 0u);
+  auto edges = table_.WaitsForEdges();
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].waiter, 3u);
+  EXPECT_EQ(edges[0].holder, 2u);
+  // The untouched waiter still wakes when its real blocker leaves.
+  Release(t2, false);
+  EXPECT_EQ(Value(waiting.completion), AccessOutcome::kGranted);
+}
+
+TEST_F(LockTableTest, RegistryHoldsEachTransactionUntilItsRelease) {
+  auto t1 = MakeTxn(1, 1, {page_});
+  auto t2 = MakeTxn(2, 1, {page_});
+  EXPECT_EQ(table_.FindTxn(2), nullptr);
+  table_.Register(t2);  // a cohort that has begun but not requested yet
+  EXPECT_EQ(table_.FindTxn(2), t2);
+  table_.Request(t1, page_, LockMode::kExclusive);
+  EXPECT_EQ(table_.FindTxn(1), t1);
+  auto r2 = table_.Request(t2, page_, LockMode::kShared);
+  ASSERT_EQ(r2.blockers.size(), 1u);
+  EXPECT_EQ(r2.blockers[0], t1);
+  Release(t1, false);
+  EXPECT_EQ(table_.FindTxn(1), nullptr);
+  EXPECT_EQ(table_.FindTxn(2), t2);
+  Release(t2, false);
+  EXPECT_EQ(table_.FindTxn(2), nullptr);
+}
+
+TEST_F(LockTableTest, SharedPageBackToOneHolderUpgradesInPlace) {
+  auto t1 = MakeTxn(1, 1, {page_});
+  auto t2 = MakeTxn(2, 1, {page_});
+  auto t3 = MakeTxn(3, 1, {page_});
+  table_.Request(t1, page_, LockMode::kShared);
+  table_.Request(t2, page_, LockMode::kShared);
+  Release(t2, false);
+  EXPECT_TRUE(
+      table_.Request(t1, page_, LockMode::kExclusive).granted_immediately);
+  EXPECT_FALSE(
+      table_.Request(t3, page_, LockMode::kShared).granted_immediately);
 }
 
 TEST_F(LockTableTest, WaitsForEdgesReportWaiterToHolder) {
@@ -196,7 +274,7 @@ TEST_F(LockTableTest, WaitTimeStatisticsRecordDelays) {
   auto t2 = MakeTxn(2, 1, {page_});
   table_.Request(t1, page_, LockMode::kExclusive);
   auto r2 = table_.Request(t2, page_, LockMode::kShared);
-  sim_.At(2.5, [&] { table_.ReleaseAll(1, false); });
+  sim_.At(2.5, [&] { Release(t1, false); });
   sim_.Run();
   EXPECT_TRUE(r2.completion->done());
   ASSERT_EQ(table_.wait_times().count(), 1u);
@@ -217,7 +295,7 @@ TEST_F(LockTableTest, DelayedGrantCallbackFires) {
   table_.Request(t1, page_, LockMode::kExclusive);
   table_.Request(t2, page_, LockMode::kShared);
   EXPECT_EQ(called, 0);
-  table_.ReleaseAll(1, false);
+  Release(t1, false);
   EXPECT_EQ(called, 1);
 }
 
@@ -251,13 +329,13 @@ TEST_F(LockTableTest, QueueJumpReleaseGrantsAnyCompatibleWaiter) {
   auto rx = table_.Request(t2, page_, LockMode::kExclusive);
   auto rs = table_.Request(t3, page_, LockMode::kShared);
   auto rs2 = table_.Request(t4, page_, LockMode::kShared);
-  table_.ReleaseAll(1, false);
+  Release(t1, false);
   // The exclusive waiter at the front is granted; under strict FIFO the
   // shared waiters would now wait, and they still must (t2 holds X).
   EXPECT_TRUE(rx.completion->done());
   EXPECT_FALSE(rs.completion->done());
   EXPECT_FALSE(rs2.completion->done());
-  table_.ReleaseAll(2, false);
+  Release(t2, false);
   EXPECT_TRUE(rs.completion->done());
   EXPECT_TRUE(rs2.completion->done());
 }
@@ -276,9 +354,9 @@ TEST_F(LockTableTest, QueueJumpReleaseSkipsBlockedFrontWaiter) {
   EXPECT_FALSE(up.granted_immediately);
   EXPECT_TRUE(rs.granted_immediately);
   // t2 releases; upgrade still blocked by t3's shared lock.
-  table_.ReleaseAll(2, false);
+  Release(t2, false);
   EXPECT_FALSE(up.completion->done());
-  table_.ReleaseAll(3, false);
+  Release(t3, false);
   EXPECT_TRUE(up.completion->done());
 }
 
@@ -291,7 +369,7 @@ TEST_F(LockTableTest, CommitReleaseWithPendingWaiterOfSameTxnIsFatal) {
   auto t2 = MakeTxn(2, 1, {page_});
   table_.Request(t1, page_, LockMode::kExclusive);
   table_.Request(t2, page_, LockMode::kShared);
-  EXPECT_DEATH(table_.ReleaseAll(2, false), "pending");
+  EXPECT_DEATH(Release(t2, false), "pending");
 }
 
 }  // namespace

@@ -46,10 +46,14 @@ TEST_P(LockTableFuzz, RandomScheduleMaintainsInvariants) {
   constexpr int kPages = 6;
   constexpr int kOps = 400;
 
+  // Every transaction's cohort may touch every page, so its accesses cover
+  // whatever it locks.
+  std::vector<PageRef> pages;
+  for (int page = 0; page < kPages; ++page) pages.push_back(PageRef{0, page});
   std::vector<txn::TxnPtr> txns;
   for (int i = 0; i < kTxns; ++i) {
-    txns.push_back(MakeTxn(static_cast<TxnId>(i + 1), 1,
-                           {PageRef{0, 0}}, 0, static_cast<double>(i)));
+    txns.push_back(MakeTxn(static_cast<TxnId>(i + 1), 1, pages, 0,
+                           static_cast<double>(i)));
   }
   // Track every outstanding completion and which (txn, page) pairs were
   // requested, to avoid illegal duplicate requests.
@@ -81,7 +85,8 @@ TEST_P(LockTableFuzz, RandomScheduleMaintainsInvariants) {
       // Release everything the txn holds/waits for; it leaves the game.
       if (!alive.count(t->id())) continue;
       alive.erase(t->id());
-      table.ReleaseAll(t->id(), /*abort_waiters=*/true);
+      table.ReleaseAll(t->id(), t->cohort_spec(0).accesses,
+                       /*abort_waiters=*/true);
       // Forget its requests so invariant bookkeeping stays consistent.
       for (auto it = requested.begin(); it != requested.end();) {
         if (it->first == t->id()) it = requested.erase(it);
@@ -91,7 +96,7 @@ TEST_P(LockTableFuzz, RandomScheduleMaintainsInvariants) {
   }
   // Finish: release everyone still alive.
   for (auto& t : txns) {
-    table.ReleaseAll(t->id(), true);
+    table.ReleaseAll(t->id(), t->cohort_spec(0).accesses, true);
   }
   EXPECT_EQ(table.num_locked_pages(), 0u);
   EXPECT_EQ(table.num_waiting_requests(), 0u);
@@ -174,11 +179,17 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
   int queued_upgrades = 0;
   int multi_pending = 0;  // searches from a txn with several pending requests
   std::vector<Player> players(kPlayers);
+  // Every cohort may touch every page, so its accesses cover its locks.
+  std::vector<PageRef> pages;
+  for (int page = 0; page < kPages; ++page) pages.push_back(PageRef{0, page});
   // A fresh transaction with a random start time, so the victim (youngest
   // initial timestamp) is not simply the largest TxnId.
   auto reincarnate = [&](Player& p) {
     p = Player{};
-    p.txn = MakeTxn(next_id++, 1, {PageRef{0, 0}}, 0, rng.Uniform(0, 100));
+    p.txn = MakeTxn(next_id++, 1, pages, 0, rng.Uniform(0, 100));
+  };
+  auto release = [&](const Player& p, bool abort) {
+    table.ReleaseAll(p.txn->id(), p.txn->cohort_spec(0).accesses, abort);
   };
   for (Player& p : players) reincarnate(p);
   auto forget_done = [](Player& p) {
@@ -191,7 +202,7 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
     forget_done(p);
     // A commit never leaves pending requests; an abort releases them too.
     bool abort = !p.pending.empty() || rng.Bernoulli(0.5);
-    table.ReleaseAll(p.txn->id(), abort);
+    release(p, abort);
     reincarnate(p);
   };
   // Issues one request and, if it queued, runs both searches; on a cycle,
@@ -209,7 +220,7 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
     if (victim == 0 || rng.Bernoulli(0.25)) return;
     for (Player& q : players) {
       if (q.txn->id() != victim) continue;
-      table.ReleaseAll(victim, /*abort_waiters=*/true);
+      release(q, /*abort=*/true);
       reincarnate(q);
     }
   };
@@ -222,8 +233,8 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
     if (kind == 0) {
       finish(p);
     } else if (kind == 1 && !p.pending.empty()) {
-      // Wait-die / timeout style cancellation leaves a stale key behind in
-      // the table's per-transaction key list.
+      // Wait-die / timeout style cancellation: the transaction keeps its
+      // locks and stays registered, but waits on one key fewer.
       table.CancelRequest(p.txn->id(), PageRef{0, p.pending.front().first});
     } else if (schedule == Schedule::kPrepareUpgrades && kind == 2 &&
                p.pending.empty() && !p.prepared) {
@@ -253,7 +264,7 @@ TEST_P(LockTableSearchFuzz, LiveSearchMatchesGraphOracle) {
       }
     }
   }
-  for (Player& p : players) table.ReleaseAll(p.txn->id(), true);
+  for (Player& p : players) release(p, true);
   EXPECT_EQ(table.num_locked_pages(), 0u);
   EXPECT_EQ(table.num_waiting_requests(), 0u);
   EXPECT_TRUE(table.WaitsForEdges().empty());

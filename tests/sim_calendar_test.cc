@@ -211,6 +211,40 @@ class Lcg {
   std::uint64_t state_;
 };
 
+// A dense schedule: 1,024 events pending at all times, each fired event
+// replaced by one up to 2 s later, so events fire about a millisecond apart
+// while the bottom rung, shaped from the initial 1 s gap, has 1 s buckets.
+// Every bottom-rung bucket the run reaches fills with hundreds of events
+// and splits. The storage the buckets keep must stay within a bound set by
+// the pending count, however long the run: sampled once per simulated
+// second from 100 s to 400 s.
+TEST(Calendar, DenseScheduleRetainsBucketStorageBoundedByPending) {
+  constexpr std::size_t kPending = 1024;
+  Calendar cal;
+  Lcg rng(20261018);
+  auto hold = [&rng] {
+    return static_cast<double>(rng.Next() % (1u << 20)) / (1u << 19);
+  };
+  for (std::size_t i = 0; i < kPending; ++i) cal.Schedule(hold(), [] {});
+  double next_sample = 100.0;
+  std::size_t first = 0;
+  std::size_t peak = 0;
+  while (next_sample <= 400.0) {
+    auto fired = cal.PopNext();
+    ASSERT_TRUE(fired.has_value());
+    if (fired->time >= next_sample) {
+      const std::size_t retained = cal.bucket_capacity();
+      if (first == 0) first = retained;
+      peak = std::max(peak, retained);
+      next_sample += 1.0;
+    }
+    cal.Schedule(fired->time + hold(), [] {});
+  }
+  EXPECT_EQ(cal.size(), kPending);
+  EXPECT_GT(first, 0u);
+  EXPECT_LE(peak, 4 * kPending) << "retained at 100 s: " << first;
+}
+
 // Cancel-heavy randomized stress against a naive reference model: a flat
 // vector of pending (time, seq) records popped via linear min-scan. Any
 // divergence in pop order, cancel results, or sizes fails.
