@@ -39,7 +39,6 @@ std::shared_ptr<sim::Completion<AccessOutcome>> BtoManager::RequestAccess(
         [&](const PendingWrite& pw) { return pw.ts < ts; });
     if (blocked) {
       item.blocked_reads.push_back(BlockedRead{ts, txn, completion, sim.Now()});
-      txn_state_[txn->id()].blocked_read_keys.push_back(key);
       ++blocked_readers_;
       return completion;
     }
@@ -58,7 +57,6 @@ std::shared_ptr<sim::Completion<AccessOutcome>> BtoManager::RequestAccess(
   if (ts < item.wts) {
     // Thomas write rule: granted, but the value will never become visible.
     ++thomas_skips_;
-    txn_state_[txn->id()].thomas_skipped_keys.push_back(key);
     completion->Complete(AccessOutcome::kGranted);
     return completion;
   }
@@ -66,7 +64,6 @@ std::shared_ptr<sim::Completion<AccessOutcome>> BtoManager::RequestAccess(
       item.pending_writes.begin(), item.pending_writes.end(), ts,
       [](const Timestamp& t, const PendingWrite& pw) { return t < pw.ts; });
   item.pending_writes.insert(pos, PendingWrite{ts, txn});
-  txn_state_[txn->id()].pending_write_keys.push_back(key);
   completion->Complete(AccessOutcome::kGranted);
   return completion;
 }
@@ -109,66 +106,64 @@ void BtoManager::ReevaluateBlockedReads(std::uint64_t key) {
 }
 
 void BtoManager::CommitCohort(const txn::TxnPtr& txn, int cohort_index) {
-  (void)cohort_index;
-  auto tit = txn_state_.find(txn->id());
-  if (tit == txn_state_.end()) return;
-  TxnLocal local = std::move(tit->second);
-  txn_state_.erase(tit);
-
-  for (std::uint64_t key : local.pending_write_keys) {
+  // Every access was requested before READY, so each write access holds
+  // either this transaction's pending write or a Thomas-rule grant.
+  for (const workload::PageAccess& access :
+       txn->cohort_spec(cohort_index).accesses) {
+    if (!access.is_write) continue;
+    const std::uint64_t key = access.page.Key();
     Item& item = items_.at(key);
     auto pw = std::find_if(
         item.pending_writes.begin(), item.pending_writes.end(),
         [&](const PendingWrite& p) { return p.txn->id() == txn->id(); });
-    CCSIM_CHECK_MSG(pw != item.pending_writes.end(),
-                    "pending write vanished before commit");
+    if (pw == item.pending_writes.end()) {
+      // Granted under the Thomas write rule: never installed.
+      ctx_->AuditSkippedWrite(*txn, access.page);
+      continue;
+    }
     Timestamp ts = pw->ts;
     item.pending_writes.erase(pw);
     if (ts > item.wts) {
       item.wts = ts;
-      ctx_->AuditInstallWrite(*txn, PageFromKey(key));
+      ctx_->AuditInstallWrite(*txn, access.page);
     } else {
       // A later write was installed while this one was pending.
-      ctx_->AuditSkippedWrite(*txn, PageFromKey(key));
+      ctx_->AuditSkippedWrite(*txn, access.page);
     }
     ReevaluateBlockedReads(key);
-  }
-  for (std::uint64_t key : local.thomas_skipped_keys) {
-    ctx_->AuditSkippedWrite(*txn, PageFromKey(key));
   }
 }
 
 void BtoManager::AbortCohort(const txn::TxnPtr& txn, int cohort_index) {
-  (void)cohort_index;
-  // Drop this cohort's pending writes (never installed) and wake any of its
-  // own still-blocked reads with kAborted.
-  auto tit = txn_state_.find(txn->id());
-  if (tit == txn_state_.end()) return;
-  TxnLocal local = std::move(tit->second);
-  txn_state_.erase(tit);
-  for (std::uint64_t key : local.pending_write_keys) {
-    Item& item = items_.at(key);
+  // The abort may come before the cohort reached some of its accesses, so
+  // both passes touch only entries of this transaction. First drop its
+  // pending writes (never installed)...
+  const auto& accesses = txn->cohort_spec(cohort_index).accesses;
+  for (const workload::PageAccess& access : accesses) {
+    if (!access.is_write) continue;
+    auto iit = items_.find(access.page.Key());
+    if (iit == items_.end()) continue;
+    auto& writes = iit->second.pending_writes;
     auto pw = std::find_if(
-        item.pending_writes.begin(), item.pending_writes.end(),
+        writes.begin(), writes.end(),
         [&](const PendingWrite& p) { return p.txn->id() == txn->id(); });
-    if (pw != item.pending_writes.end()) item.pending_writes.erase(pw);
-    ReevaluateBlockedReads(key);
+    if (pw == writes.end()) continue;
+    writes.erase(pw);
+    ReevaluateBlockedReads(iit->first);
   }
-  // Wake the cohort's own still-blocked reads with kAborted (the keys are
-  // hints: an already-granted or rejected read simply is not found).
-  for (std::uint64_t key : local.blocked_read_keys) {
-    auto iit = items_.find(key);
+  // ...then wake its own still-blocked reads with kAborted.
+  for (const workload::PageAccess& access : accesses) {
+    if (access.is_write) continue;
+    auto iit = items_.find(access.page.Key());
     if (iit == items_.end()) continue;
     auto& reads = iit->second.blocked_reads;
-    for (auto it = reads.begin(); it != reads.end();) {
-      if (it->txn->id() == txn->id()) {
-        --blocked_readers_;
-        it->completion->Complete(AccessOutcome::kAborted);
-        it = reads.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    auto br = std::find_if(
+        reads.begin(), reads.end(),
+        [&](const BlockedRead& r) { return r.txn->id() == txn->id(); });
+    if (br == reads.end()) continue;
+    --blocked_readers_;
+    br->completion->Complete(AccessOutcome::kAborted);
+    reads.erase(br);
   }
 }
 

@@ -31,6 +31,10 @@ namespace ccsim::cc {
 /// Rejections surface as AccessOutcome::kAborted to the requesting cohort.
 /// Waits are always younger-reader-for-older-writer, so no deadlock is
 /// possible and no detector is needed.
+///
+/// Commit and abort find a cohort's pending writes and blocked reads by
+/// walking its spec's accesses: a cohort requests each of its (distinct)
+/// pages once, in spec order, so the items hold all of its state here.
 class BtoManager : public CcManager {
  public:
   BtoManager(CcContext* ctx, NodeId node);
@@ -71,13 +75,6 @@ class BtoManager : public CcManager {
     std::vector<PendingWrite> pending_writes;  // ascending timestamp order
     std::vector<BlockedRead> blocked_reads;
   };
-  struct TxnLocal {
-    std::vector<std::uint64_t> pending_write_keys;
-    std::vector<std::uint64_t> thomas_skipped_keys;
-    // Items this transaction blocked a read on (possibly already granted;
-    // entries are only hints for abort cleanup).
-    std::vector<std::uint64_t> blocked_read_keys;
-  };
 
   /// Re-examines an item's blocked readers after pending writes changed:
   /// grants those no longer blocked, rejects those now out of order.
@@ -86,7 +83,6 @@ class BtoManager : public CcManager {
   CcContext* ctx_;
   NodeId node_;
   std::unordered_map<std::uint64_t, Item> items_;
-  std::unordered_map<TxnId, TxnLocal> txn_state_;
   stats::Tally wait_times_;
   std::uint64_t rejections_ = 0;
   std::uint64_t thomas_skips_ = 0;

@@ -15,14 +15,10 @@ TwoPhaseLockingDeferredManager::RequestAccess(const txn::TxnPtr& txn,
                                               int /*cohort_index*/,
                                               const PageRef& page,
                                               AccessMode mode) {
-  if (mode == AccessMode::kWrite) {
-    // Remember the page for the prepare-time upgrade, but lock it shared
-    // for now. (The version audit still treats it as a blind write: the
-    // install happens at commit under the exclusive lock.)
-    write_sets_[txn->id()].push_back(page);
-  }
-  // Blind writes have no read semantics, so request the audit-free shared
-  // mode through the base implementation's read path only for true reads.
+  // A write access locks shared for now; Prepare upgrades it. (The version
+  // audit still treats it as a blind write: the install happens at commit
+  // under the exclusive lock.) Blind writes have no read semantics, so only
+  // true reads are audited here.
   auto result = lock_table_.Request(txn, page, LockMode::kShared);
   if (!result.granted_immediately) {
     DetectLocalDeadlock(txn);
@@ -34,21 +30,20 @@ TwoPhaseLockingDeferredManager::RequestAccess(const txn::TxnPtr& txn,
 
 std::shared_ptr<sim::Completion<Vote>> TwoPhaseLockingDeferredManager::Prepare(
     const txn::TxnPtr& txn, int cohort_index) {
-  (void)cohort_index;
   auto vote = sim::MakeCompletion<Vote>(&ctx_->simulation());
-  auto wit = write_sets_.find(txn->id());
-  if (wit == write_sets_.end() || wit->second.empty()) {
-    vote->Complete(Vote::kYes);
-    return vote;
-  }
   std::vector<std::shared_ptr<sim::Completion<AccessOutcome>>> pending;
-  for (const PageRef& page : wit->second) {
-    auto result = lock_table_.Request(txn, page, LockMode::kExclusive);
+  for (const workload::PageAccess& access :
+       txn->cohort_spec(cohort_index).accesses) {
+    // Detection may pick *this* transaction as the victim. When messages
+    // are free (InstPerMsg 0) the abort then arrives inside this loop, and
+    // AbortCohort has already released every lock and cancelled the
+    // pending upgrades: upgrade nothing more for a dead cohort.
+    if (txn->cohort(cohort_index).abort_flag) break;
+    if (!access.is_write) continue;
+    auto result = lock_table_.Request(txn, access.page, LockMode::kExclusive);
     if (!result.granted_immediately) {
       ++upgrade_waits_;
       pending.push_back(result.completion);
-      // Detection may pick *this* transaction as the victim; the abort then
-      // cancels the pending upgrades through AbortCohort.
       DetectLocalDeadlock(txn);
     }
   }
@@ -74,18 +69,6 @@ sim::Process TwoPhaseLockingDeferredManager::AwaitUpgrades(
   // aborted upgrade implies the abort protocol is already running and the
   // cohort will never send this vote (it checks its abort flag).
   vote->Complete(all_granted ? Vote::kYes : Vote::kNo);
-}
-
-void TwoPhaseLockingDeferredManager::CommitCohort(const txn::TxnPtr& txn,
-                                                  int cohort_index) {
-  write_sets_.erase(txn->id());
-  TwoPhaseLockingManager::CommitCohort(txn, cohort_index);
-}
-
-void TwoPhaseLockingDeferredManager::AbortCohort(const txn::TxnPtr& txn,
-                                                 int cohort_index) {
-  write_sets_.erase(txn->id());
-  TwoPhaseLockingManager::AbortCohort(txn, cohort_index);
 }
 
 }  // namespace ccsim::cc

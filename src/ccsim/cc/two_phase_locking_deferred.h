@@ -2,7 +2,6 @@
 #define CCSIM_CC_TWO_PHASE_LOCKING_DEFERRED_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ccsim/cc/two_phase_locking.h"
@@ -27,12 +26,11 @@ class TwoPhaseLockingDeferredManager : public TwoPhaseLockingManager {
   std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
       AccessMode mode) override;
+  /// Upgrades the cohort's write accesses to exclusive locks, in spec
+  /// order; commit then installs and releases like the base (by commit
+  /// time every written page holds an exclusive lock).
   std::shared_ptr<sim::Completion<Vote>> Prepare(const txn::TxnPtr& txn,
                                                  int cohort_index) override;
-  /// Installs writes and releases locks like the base (by commit time every
-  /// written page holds an exclusive lock), then drops the write set.
-  void CommitCohort(const txn::TxnPtr& txn, int cohort_index) override;
-  void AbortCohort(const txn::TxnPtr& txn, int cohort_index) override;
 
   std::uint64_t upgrade_waits() const { return upgrade_waits_; }
 
@@ -45,8 +43,6 @@ class TwoPhaseLockingDeferredManager : public TwoPhaseLockingManager {
       std::vector<std::shared_ptr<sim::Completion<AccessOutcome>>> pending,
       std::shared_ptr<sim::Completion<Vote>> vote);
 
-  // Pages each transaction will upgrade at prepare time.
-  std::unordered_map<TxnId, std::vector<PageRef>> write_sets_;
   std::uint64_t upgrade_waits_ = 0;
 };
 

@@ -79,13 +79,6 @@ System::System(const config::SystemConfig& config)
       commit_log_.push_back(CommittedTxn{t.id(), sim_.Now(), t.audit});
     }
   };
-  services.on_abandon = [this](txn::Transaction& t, bool deadline_exceeded) {
-    (void)t;
-    (void)deadline_exceeded;
-    // Giving up on a transaction resolves it: forward progress for the
-    // watchdog's stall clock even when nothing commits under overload.
-    sim_.NoteProgress();
-  };
   services.restart_delay = [this] { return RestartDelay(); };
   if (config_.workload.fake_restarts) {
     services.regenerate_spec =

@@ -62,24 +62,20 @@ void Network::Send(NodeId from, NodeId to, MsgTag tag, sim::EventFn deliver,
   const double bytes = MessageBytes(payload_items);
   if (net_.model != config::NetModel::kSwitch) bytes_sent_ += bytes;
   if (net_.batching) {
-    const std::uint64_t key = LinkKey(from, to);
-    if (Batch** open = open_batches_.Find(key)) {
+    if (Batch** open = open_batches_.Find(LinkKey(from, to))) {
       // The opening message's sender-CPU charge has not completed yet, so
       // this message is provably co-timed with it: piggyback. The rider
       // costs no CPU, no wire transmission, and no calendar event.
-      Batch* b = *open;
-      b->delivers.push_back(std::move(deliver));
-      b->bytes += bytes;
+      (*open)->riders.push_back(std::move(deliver));
+      (*open)->bytes += bytes;
       ++msgs_batched_;
       return;
     }
-    Batch* b = AcquireBatch(from, to, tag, bytes, std::move(deliver));
-    open_batches_.TryEmplace(key, b);
     ++batches_sent_;
-    BatchProcess(b);
-    return;
   }
-  DeliverProcess(from, to, tag, std::move(deliver), bytes);
+  const sim::ArenaAllocator<sim::EventFn> alloc(sim_->arena());
+  DeliverProcess(from, to, tag, std::move(deliver),
+                 Batch{bytes, Batch::Riders(alloc)});
 }
 
 // ccsim-analyze: hot-path(runs once per wire transmission; link state lives in a FlatHashMap, no node allocation)
@@ -113,12 +109,19 @@ double Network::WireDelay(NodeId from, NodeId to, double bytes) {
   return 0.0;
 }
 
+// ccsim-analyze: hot-path(one frame per wire message; riders grow in the simulation arena)
 sim::Process Network::DeliverProcess(NodeId from, NodeId to, MsgTag tag,
-                                     sim::EventFn deliver, double bytes) {
+                                     sim::EventFn deliver, Batch batch) {
+  // The wire message, `batch`, lives in this frame. Under batching it takes
+  // riders until the sender's CPU charge below completes.
+  if (net_.batching) open_batches_.TryEmplace(LinkKey(from, to), &batch);
   // The sender's CPU charge. Starting this process schedules no event
   // before it, so the charge is queued at the point of the Send call.
   co_await cpus_[static_cast<std::size_t>(from)]->Execute(
       inst_per_msg_, resource::CpuJobClass::kMessage);
+  // The charge is done: seal the batch so later sends to this destination
+  // open a fresh one. Every loss below loses the opener and its riders.
+  if (net_.batching) open_batches_.Erase(LinkKey(from, to));
   if (faults_.should_drop) {
     int attempt = 0;
     while (faults_.should_drop(from, to, tag)) {
@@ -127,18 +130,19 @@ sim::Process Network::DeliverProcess(NodeId from, NodeId to, MsgTag tag,
       // through), so a drop never delays messages queued behind it.
       ++dropped_;
       if (attempt >= faults_.max_retries) {
-        ++lost_;
+        lost_ += 1 + batch.riders.size();
         co_return;
       }
-      // Exponential backoff, then a full retransmission: the sender's CPU is
-      // recharged and the attempt is counted like any other send.
+      // Exponential backoff, then a full retransmission of the whole wire
+      // message: the sender's CPU is recharged and the attempt is counted
+      // like any other send.
       double backoff = faults_.retry_backoff_sec;
       for (int i = 0; i < attempt && backoff < 1e6; ++i) backoff *= 2.0;
       ++attempt;
       co_await sim_->Delay(backoff);
       ++total_sent_;
       ++counts_[static_cast<std::size_t>(tag)];
-      if (net_.model != config::NetModel::kSwitch) bytes_sent_ += bytes;
+      if (net_.model != config::NetModel::kSwitch) bytes_sent_ += batch.bytes;
       co_await cpus_[static_cast<std::size_t>(from)]->Execute(
           inst_per_msg_, resource::CpuJobClass::kMessage);
     }
@@ -146,108 +150,29 @@ sim::Process Network::DeliverProcess(NodeId from, NodeId to, MsgTag tag,
   if (faults_.node_up && !faults_.node_up(to)) {
     // Receiver is crashed: the message is gone for good (delivery to a node
     // that lost its state would be meaningless; recovery re-converges).
-    ++lost_;
+    lost_ += 1 + batch.riders.size();
     co_return;
   }
   if (net_.model != config::NetModel::kSwitch) {
     // The non-switch models put real time on the wire. (The switch model
     // must not even await a zero Delay here: the extra calendar event would
     // break byte-identity with the paper's simulator.)
-    co_await sim_->Delay(WireDelay(from, to, bytes));
+    co_await sim_->Delay(WireDelay(from, to, batch.bytes));
     if (faults_.node_up && !faults_.node_up(to)) {
       // The receiver crashed while the message was in flight.
-      ++lost_;
-      co_return;
-    }
-  }
-  if (net_.model == config::NetModel::kRdma) {
-    // One-sided op: the NIC completes it without the remote CPU.
-    deliver();
-    co_return;
-  }
-  co_await cpus_[static_cast<std::size_t>(to)]->Execute(
-      inst_per_msg_, resource::CpuJobClass::kMessage);
-  deliver();
-}
-
-// ccsim-analyze: hot-path(batch flush: one wire transmission for every coalesced message; batches recycle through a free list)
-sim::Process Network::BatchProcess(Batch* b) {
-  // The opening send's CPU charge, queued as in DeliverProcess.
-  co_await cpus_[static_cast<std::size_t>(b->from)]->Execute(
-      inst_per_msg_, resource::CpuJobClass::kMessage);
-  // The opening send's CPU charge is done: seal the batch so later sends to
-  // this destination open a fresh one.
-  open_batches_.Erase(LinkKey(b->from, b->to));
-  const NodeId from = b->from;
-  const NodeId to = b->to;
-  if (faults_.should_drop) {
-    int attempt = 0;
-    while (faults_.should_drop(from, to, b->tag)) {
-      ++dropped_;
-      if (attempt >= faults_.max_retries) {
-        lost_ += b->delivers.size();
-        ReleaseBatch(b);
-        co_return;
-      }
-      double backoff = faults_.retry_backoff_sec;
-      for (int i = 0; i < attempt && backoff < 1e6; ++i) backoff *= 2.0;
-      ++attempt;
-      co_await sim_->Delay(backoff);
-      // A retransmission resends the whole batch as one wire message.
-      ++total_sent_;
-      ++counts_[static_cast<std::size_t>(b->tag)];
-      if (net_.model != config::NetModel::kSwitch) bytes_sent_ += b->bytes;
-      co_await cpus_[static_cast<std::size_t>(from)]->Execute(
-          inst_per_msg_, resource::CpuJobClass::kMessage);
-    }
-  }
-  if (faults_.node_up && !faults_.node_up(to)) {
-    lost_ += b->delivers.size();
-    ReleaseBatch(b);
-    co_return;
-  }
-  if (net_.model != config::NetModel::kSwitch) {
-    co_await sim_->Delay(WireDelay(from, to, b->bytes));
-    if (faults_.node_up && !faults_.node_up(to)) {
-      lost_ += b->delivers.size();
-      ReleaseBatch(b);
+      lost_ += 1 + batch.riders.size();
       co_return;
     }
   }
   if (net_.model != config::NetModel::kRdma) {
-    // One receiver charge for the whole batch: the riders' lock grants and
-    // 2PC votes are piggybacked fields of a single wire message.
+    // One receiver charge for the whole wire message: the riders' lock
+    // grants and 2PC votes are piggybacked fields of it. Under kRdma the
+    // NIC completes the one-sided op without the remote CPU.
     co_await cpus_[static_cast<std::size_t>(to)]->Execute(
         inst_per_msg_, resource::CpuJobClass::kMessage);
   }
-  for (auto& deliver : b->delivers) deliver();
-  ReleaseBatch(b);
-}
-
-Network::Batch* Network::AcquireBatch(NodeId from, NodeId to, MsgTag tag,
-                                      double bytes, sim::EventFn deliver) {
-  Batch* b = free_batches_;
-  if (b != nullptr) {
-    free_batches_ = b->free_next;
-  } else {
-    // ccsim-analyze: alloc-ok(pool growth: batches recycle through the free list, so steady-state batching allocates nothing)
-    all_batches_.push_back(std::make_unique<Batch>());
-    b = all_batches_.back().get();
-  }
-  b->from = from;
-  b->to = to;
-  b->tag = tag;
-  b->bytes = bytes;
-  b->free_next = nullptr;
-  b->delivers.clear();  // keeps capacity from the batch's previous life
-  b->delivers.push_back(std::move(deliver));
-  return b;
-}
-
-void Network::ReleaseBatch(Batch* b) {
-  b->delivers.clear();
-  b->free_next = free_batches_;
-  free_batches_ = b;
+  deliver();
+  for (sim::EventFn& rider : batch.riders) rider();
 }
 
 }  // namespace ccsim::net

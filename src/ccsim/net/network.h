@@ -4,13 +4,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "ccsim/common/flat_hash.h"
 #include "ccsim/common/types.h"
 #include "ccsim/config/params.h"
 #include "ccsim/resource/cpu.h"
+#include "ccsim/sim/arena.h"
 #include "ccsim/sim/event_fn.h"
 #include "ccsim/sim/process.h"
 #include "ccsim/sim/simulation.h"
@@ -146,18 +146,16 @@ class Network {
   sim::Arena* process_arena() { return sim_->arena(); }
 
  private:
-  /// One coalesced wire message: the first (opening) send pays the CPU,
-  /// wire, and delivery costs; riders only append their closures. Recycled
-  /// through a free list so steady-state batching allocates nothing;
-  /// `all_batches_` owns every batch ever created, so batches in flight
-  /// when a run stops mid-window (RunUntil) are still reclaimed.
+  /// One wire message. It lives in the frame of the DeliverProcess that
+  /// carries it: the opening send pays the CPU, wire and delivery costs,
+  /// and under batching co-timed riders only add their bytes and closures.
+  /// A frame still suspended when a run stops mid-window (RunUntil) is
+  /// destroyed, batch and all, by the Simulation's registry.
   struct Batch {
-    NodeId from = 0;
-    NodeId to = 0;
-    MsgTag tag = MsgTag::kCount;
+    using Riders =
+        std::vector<sim::EventFn, sim::ArenaAllocator<sim::EventFn>>;
     double bytes = 0.0;
-    std::vector<sim::EventFn> delivers;
-    Batch* free_next = nullptr;
+    Riders riders;
   };
 
   /// Directed-link state under kBandwidth: when the link's transmitter
@@ -177,23 +175,15 @@ class Network {
                                 net_.bytes_per_item;
   }
 
-  Batch* AcquireBatch(NodeId from, NodeId to, MsgTag tag, double bytes,
-                      sim::EventFn deliver);
-  void ReleaseBatch(Batch* b);
-
   /// Computes this wire transmission's arrival time under the active model
   /// and advances the link transmitter (kBandwidth). Returns the delay from
   /// now until the delivery may charge the receiver (0 under kSwitch).
   double WireDelay(NodeId from, NodeId to, double bytes);
 
-  // The two delivery coroutines share their retransmission/crash structure
-  // inline (sim::Process is fire-and-forget; there is no awaitable
-  // sub-coroutine type, and resuming a parent inline would break the
-  // resume-through-the-calendar ownership rule of process.h). Each one's
-  // first await is the sender's CPU charge.
+  /// Carries one wire message, batched or not, from the sender's CPU charge
+  /// (its first await) to the delivery of the opener and its riders.
   sim::Process DeliverProcess(NodeId from, NodeId to, MsgTag tag,
-                              sim::EventFn deliver, double bytes);
-  sim::Process BatchProcess(Batch* b);
+                              sim::EventFn deliver, Batch batch);
 
   sim::Simulation* sim_;
   std::vector<resource::Cpu*> cpus_;
@@ -211,13 +201,12 @@ class Network {
   std::uint64_t link_msgs_ = 0;
   FaultPolicy faults_;
   std::array<std::uint64_t, static_cast<std::size_t>(MsgTag::kCount)> counts_{};
-  /// Open (still accepting riders) batch per directed link; an entry is
-  /// erased when its opening send's CPU charge completes (the batch seals).
+  /// Open (still accepting riders) batch per directed link, in its
+  /// delivery frame; an entry is erased when its opening send's CPU charge
+  /// completes (the batch seals).
   common::FlatHashMap<std::uint64_t, Batch*> open_batches_;
   /// Per-directed-link transmitter state (kBandwidth only).
   common::FlatHashMap<std::uint64_t, Link> links_;
-  std::vector<std::unique_ptr<Batch>> all_batches_;
-  Batch* free_batches_ = nullptr;
 };
 
 }  // namespace ccsim::net

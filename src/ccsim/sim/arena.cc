@@ -1,6 +1,5 @@
 #include "ccsim/sim/arena.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #if CCSIM_ARENA_ASAN
@@ -17,18 +16,13 @@ namespace ccsim::sim {
 
 namespace {
 bool g_passthrough_for_test = false;
-
-bool EnvPassthrough() {
-  const char* v = std::getenv("CCSIM_ARENA_PASSTHROUGH");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 }  // namespace
 
 void Arena::SetPassthroughForTest(bool on) { g_passthrough_for_test = on; }
 
 Arena::Arena()
     : free_lists_(kMaxSmall / kAlign + 1, nullptr),
-      passthrough_(g_passthrough_for_test || EnvPassthrough()) {}
+      passthrough_(g_passthrough_for_test) {}
 
 Arena::~Arena() {
   for (unsigned char* page : pages_) {
@@ -38,15 +32,10 @@ Arena::~Arena() {
 }
 
 void Arena::NewPage() {
-  // First page is index 0 (lazy); afterwards advance, reusing pages kept
-  // across Reset() before chaining a new one.
-  if (!pages_.empty()) ++current_page_;
-  if (current_page_ >= pages_.size()) {
-    auto* page = static_cast<unsigned char*>(
-        ::operator new(kPageBytes, std::align_val_t{kAlign}));
-    CCSIM_ARENA_POISON(page, kPageBytes);
-    pages_.push_back(page);
-  }
+  auto* page = static_cast<unsigned char*>(
+      ::operator new(kPageBytes, std::align_val_t{kAlign}));
+  CCSIM_ARENA_POISON(page, kPageBytes);
+  pages_.push_back(page);
   cursor_ = 0;
 }
 
@@ -67,7 +56,7 @@ void* Arena::AllocateSmall(std::size_t rounded, std::size_t cls) {
     // unused Simulation costs no pages.
     NewPage();
   }
-  unsigned char* p = pages_[current_page_] + cursor_;
+  unsigned char* p = pages_.back() + cursor_;
   cursor_ += rounded;
   CCSIM_ARENA_UNPOISON(p, rounded);
   return p;
@@ -105,17 +94,6 @@ void Arena::Deallocate(void* p, std::size_t size) noexcept {
   // Allocate of this class unpoisons before reading it. Byte 0 of a freed
   // block must trap like any other byte.
   CCSIM_ARENA_POISON(p, rounded);
-}
-
-void Arena::Reset() {
-  CCSIM_CHECK_MSG(live_blocks_ == 0 || !pages_.empty(),
-                  "Reset of a corrupted arena");
-  for (FreeBlock*& head : free_lists_) head = nullptr;
-  for (unsigned char* page : pages_) CCSIM_ARENA_POISON(page, kPageBytes);
-  current_page_ = 0;
-  cursor_ = 0;
-  live_blocks_ = 0;
-  live_bytes_ = 0;
 }
 
 void* AllocateWithHeader(Arena* arena, std::size_t size) {

@@ -38,12 +38,12 @@ namespace ccsim::sim {
 ///     for its 16-byte size class and Allocate pops from it, so the steady
 ///     state is completely malloc-free *and* bump-pointer-free — unlike a
 ///     pure bump arena, long runs do not grow without bound.
-///   - Reset-per-run: the arena belongs to one Simulation and dies (or is
-///     Reset) with it. Nothing allocated from it may outlive the
-///     Simulation; member order in Simulation guarantees the arena is
-///     destroyed last (see simulation.h).
+///   - One arena per run: the arena belongs to one Simulation and dies
+///     with it. Nothing allocated from it may outlive the Simulation;
+///     member order in Simulation guarantees the arena is destroyed last
+///     (see simulation.h).
 ///   - ASan-poisoned free space: free-listed blocks and untouched page
-///     tails are poisoned; Reset() re-poisons every page.
+///     tails are poisoned.
 ///
 /// Blocks larger than kMaxSmall (no size class) fall through to global
 /// new/delete — they are rare (no steady-state allocation in this codebase
@@ -73,11 +73,6 @@ class Arena {
   /// passed to Allocate.
   void Deallocate(void* p, std::size_t size) noexcept;
 
-  /// Rewinds every page and clears the free lists, keeping the pages for
-  /// reuse. The caller asserts nothing allocated from the arena is still
-  /// live. Poisons all page memory under ASan.
-  void Reset();
-
   // --- Introspection (dump sections, tests) ------------------------------
   /// Total bytes of pages chained (the footprint; high-water, never shrinks
   /// until destruction).
@@ -90,11 +85,10 @@ class Arena {
   std::uint64_t total_allocations() const { return total_allocations_; }
 
   /// When true, this arena forwards every Allocate/Deallocate to global
-  /// new/delete. Latched at construction from SetPassthroughForTest (and
-  /// the CCSIM_ARENA_PASSTHROUGH environment variable), so one arena is
-  /// consistently arena-backed or consistently malloc-backed for its whole
-  /// life. Exists for the arena-vs-malloc determinism pin and for A/B
-  /// memory measurements; simulation behavior must not depend on it.
+  /// new/delete. Latched at construction from SetPassthroughForTest, so
+  /// one arena is consistently arena-backed or consistently malloc-backed
+  /// for its whole life. Exists for the arena-vs-malloc determinism pin;
+  /// simulation behavior must not depend on it.
   bool passthrough() const { return passthrough_; }
 
   /// Makes arenas constructed from now on passthrough (test hook).
@@ -112,9 +106,8 @@ class Arena {
   void* AllocateSmall(std::size_t rounded, std::size_t cls);
   void NewPage();
 
-  std::vector<unsigned char*> pages_;
-  std::size_t current_page_ = 0;  // pages_[current_page_] is being bumped
-  std::size_t cursor_ = 0;        // bump offset into the current page
+  std::vector<unsigned char*> pages_;  // pages_.back() is being bumped
+  std::size_t cursor_ = 0;             // bump offset into the last page
   std::vector<FreeBlock*> free_lists_;  // index = size class
   std::size_t live_blocks_ = 0;
   std::size_t live_bytes_ = 0;

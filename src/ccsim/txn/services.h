@@ -39,13 +39,9 @@ struct Services {
   /// instead of waiting for messages that can never arrive.
   std::function<bool(NodeId)> node_up;
 
-  /// Metrics callbacks (coordinator side, fired at the host). Commit and
+  /// Metrics callback (coordinator side, fired at the host). Commit and
   /// abort counts are CoordinatorService's own counters.
   std::function<void(Transaction&)> on_commit;
-  /// Fired when the coordinator gives up on a transaction instead of
-  /// restarting it (OverloadParams deadline or restart budget);
-  /// `deadline_exceeded` distinguishes the two causes.
-  std::function<void(Transaction&, bool deadline_exceeded)> on_abandon;
   /// Current restart delay: one average observed response time (Sec 3.3).
   std::function<double()> restart_delay;
   /// When set (WorkloadParams::fake_restarts), draws a fresh access set for

@@ -70,6 +70,8 @@ TransactionSpec AccessGenerator::Generate(int terminal,
     for (FileId f :
          catalog_->FilesOfRelationAt(spec.relation, node_index)) {
       int count = DrawPageCount(cls, rng);
+      cohort.accesses.reserve(cohort.accesses.size() +
+                              static_cast<std::size_t>(count));
       // Distinct pages via rejection; counts are small relative to file size
       // (validated in SystemConfig::Validate), so a linear membership scan
       // over an inline vector beats a heap-allocated hash set. Accept and

@@ -171,6 +171,56 @@ TEST_F(BtoTest, AbortWakesOwnBlockedReads) {
   EXPECT_EQ(mgr_.blocked_readers(), 0u);
 }
 
+TEST_F(BtoTest, AbortBeforeLaterAccessesLeavesOtherTransactionsUntouched) {
+  PageRef p3{0, 3};
+  auto writer = MakeTxn(1, 1, {p2_, p3}, 0b11, 1.0);
+  auto reader = MakeTxn(3, 1, {p3}, 0, 5.0);
+  // The victim's spec writes p2 and reads p3, but it is aborted after
+  // reaching only p1.
+  auto victim = MakeTxn(2, 1, {p1_, p2_, p3}, 0b010, 3.0);
+  mgr_.RequestAccess(writer, 0, p2_, AccessMode::kWrite);  // pending
+  mgr_.RequestAccess(writer, 0, p3, AccessMode::kWrite);   // pending
+  auto blocked = mgr_.RequestAccess(reader, 0, p3, AccessMode::kRead);
+  ASSERT_FALSE(blocked->done());
+  EXPECT_EQ(Value(mgr_.RequestAccess(victim, 0, p1_, AccessMode::kRead)),
+            AccessOutcome::kGranted);
+  mgr_.AbortCohort(victim, 0);
+  // The other reader still waits, and the writer's commit installs both of
+  // its pending writes, then grants that read.
+  EXPECT_FALSE(blocked->done());
+  EXPECT_EQ(mgr_.blocked_readers(), 1u);
+  ctx_.audits.clear();
+  mgr_.CommitCohort(writer, 0);
+  ASSERT_EQ(ctx_.audits.size(), 3u);
+  EXPECT_EQ(ctx_.audits[0].kind, FakeCcContext::AuditCall::kInstall);
+  EXPECT_EQ(ctx_.audits[0].page, p2_);
+  EXPECT_EQ(ctx_.audits[1].kind, FakeCcContext::AuditCall::kInstall);
+  EXPECT_EQ(ctx_.audits[1].page, p3);
+  EXPECT_EQ(ctx_.audits[2].kind, FakeCcContext::AuditCall::kRead);
+  EXPECT_EQ(ctx_.audits[2].txn, 3u);
+  ASSERT_TRUE(blocked->done());
+  EXPECT_EQ(blocked->TakeValue(), AccessOutcome::kGranted);
+}
+
+TEST_F(BtoTest, CommitInstallsThePendingWriteAndSkipsTheThomasWrite) {
+  auto newer = MakeTxn(2, 1, {p2_}, 0b1, 5.0);
+  mgr_.RequestAccess(newer, 0, p2_, AccessMode::kWrite);
+  mgr_.CommitCohort(newer, 0);  // wts(p2) = 5
+  auto t = MakeTxn(1, 1, {p1_, p2_}, 0b11, 2.0);
+  EXPECT_EQ(Value(mgr_.RequestAccess(t, 0, p1_, AccessMode::kWrite)),
+            AccessOutcome::kGranted);  // pending
+  EXPECT_EQ(Value(mgr_.RequestAccess(t, 0, p2_, AccessMode::kWrite)),
+            AccessOutcome::kGranted);  // Thomas write rule
+  EXPECT_EQ(mgr_.thomas_skips(), 1u);
+  ctx_.audits.clear();
+  mgr_.CommitCohort(t, 0);
+  ASSERT_EQ(ctx_.audits.size(), 2u);
+  EXPECT_EQ(ctx_.audits[0].kind, FakeCcContext::AuditCall::kInstall);
+  EXPECT_EQ(ctx_.audits[0].page, p1_);
+  EXPECT_EQ(ctx_.audits[1].kind, FakeCcContext::AuditCall::kSkip);
+  EXPECT_EQ(ctx_.audits[1].page, p2_);
+}
+
 TEST_F(BtoTest, RestartWithFreshTimestampSucceeds) {
   auto writer = MakeTxn(2, 1, {p1_}, 0b1, 5.0);
   mgr_.RequestAccess(writer, 0, p1_, AccessMode::kWrite);

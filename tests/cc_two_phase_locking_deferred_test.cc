@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ccsim/engine/run.h"
 #include "test_util.h"
 
@@ -114,6 +116,21 @@ TEST_F(DeferredTest, EndToEndCommitsUnderContention) {
   EXPECT_GT(r.commits, 100u);
   EXPECT_GT(r.aborts, 0u);  // upgrade deadlocks do happen
   EXPECT_TRUE(r.serializable) << r.audit_note;
+}
+
+// Figures 14 and 15 run with free messages (InstPerMsg 0). An abort is then
+// delivered synchronously, and local detection can pick the preparing
+// cohort itself, so the abort lands inside Prepare's upgrade loop.
+TEST_F(DeferredTest, FreeMessagesAbortInsidePrepareStopsTheUpgrades) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    auto cfg =
+        test::SmallConfig(config::CcAlgorithm::kTwoPhaseLockingDeferred, 0.0);
+    cfg.costs.inst_per_msg = 0;
+    cfg.run.seed = seed;
+    auto r = engine::RunSimulation(cfg);
+    EXPECT_GT(r.commits, 100u) << "seed " << seed;
+    EXPECT_TRUE(r.serializable) << "seed " << seed << ": " << r.audit_note;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "ccsim/config/params.h"
@@ -273,6 +274,50 @@ TEST_F(BatchingTest, BatchRetransmitsAsOneWireMessage) {
   EXPECT_EQ(delivered, 3);
   EXPECT_EQ(net.messages_dropped(), 1u);
   EXPECT_EQ(net.messages_sent(), 4u);  // 3 logical + 1 batch retransmission
+}
+
+TEST_F(BatchingTest, BatchFailingEveryRetryLosesEveryRider) {
+  Network net = MakeNet(BatchingParams());
+  Network::FaultPolicy policy;
+  policy.should_drop = [](NodeId, NodeId, MsgTag) { return true; };
+  policy.max_retries = 1;
+  policy.retry_backoff_sec = 0.01;
+  net.SetFaultPolicy(std::move(policy));
+  int delivered = 0;
+  for (int i = 0; i < 3; ++i) {
+    net.Send(0, 1, MsgTag::kVote, [&] { ++delivered; });
+  }
+  sim_.Run();
+  // Both attempts of the one wire message die; the opener and both riders
+  // are lost with it, and none is delivered.
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(net.messages_dropped(), 2u);
+  EXPECT_EQ(net.messages_lost(), 3u);
+  EXPECT_EQ(net.messages_sent(), 4u);  // 3 logical + 1 batch retransmission
+}
+
+TEST_F(BatchingTest, BandwidthBatchSerializesItsSummedBytesOnce) {
+  config::NetParams params = BandwidthParams();
+  params.batching = true;
+  Network net = MakeNet(params);
+  std::vector<double> arrivals;
+  for (std::uint32_t items = 1; items <= 3; ++items) {
+    net.Send(
+        0, 1, MsgTag::kLoadCohort, [&] { arrivals.push_back(sim_.Now()); },
+        /*payload_items=*/items);
+  }
+  sim_.Run();
+  // One wire message of 288 + 320 + 352 = 960 bytes: 0.1 ms sender CPU +
+  // 768 us serialization + 50 us wire latency + 1 ms receiver CPU, and all
+  // three arrive together.
+  ASSERT_EQ(arrivals.size(), 3u);
+  for (double t : arrivals) {
+    EXPECT_NEAR(t, 0.0001 + 0.000768 + 0.00005 + 0.001, 1e-12);
+  }
+  EXPECT_DOUBLE_EQ(net.bytes_sent(), 960.0);
+  EXPECT_EQ(net.link_transmissions(), 1u);
+  EXPECT_EQ(net.batches_sent(), 1u);
+  EXPECT_EQ(net.messages_batched(), 2u);
 }
 
 // The new models and the fast path must stay deterministic: the same config

@@ -1,7 +1,7 @@
 // Arena allocator: the per-simulation bump/free-list allocator behind
 // coroutine frames, Completions, and Transaction state (DESIGN.md decision
 // #12). Covers the allocator contract (alignment, size-class reuse,
-// reset-keeps-pages), the ASan poisoning of freed space, teardown of
+// large-block bypass), the ASan poisoning of freed space, teardown of
 // suspended coroutine frames through the registry (leak-checked by the ASan
 // CI job), and the load-bearing pin that arena-vs-malloc placement does not
 // change simulation behavior.
@@ -65,24 +65,6 @@ TEST(Arena, ReusesFreedBlocksWithoutGrowingFootprint) {
   EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
-TEST(Arena, ResetKeepsPagesForTheNextRun) {
-  sim::Arena arena;
-  for (int i = 0; i < 10000; ++i) arena.Allocate(128);
-  std::size_t footprint = arena.bytes_reserved();
-  EXPECT_GT(footprint, 0u);
-  EXPECT_EQ(arena.live_blocks(), 10000u);
-
-  arena.Reset();
-  EXPECT_EQ(arena.live_blocks(), 0u);
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), footprint) << "Reset returned pages";
-
-  // The same allocation pattern after Reset fits in the kept pages.
-  for (int i = 0; i < 10000; ++i) arena.Allocate(128);
-  EXPECT_EQ(arena.bytes_reserved(), footprint);
-  arena.Reset();
-}
-
 TEST(Arena, LargeBlocksBypassThePages) {
   sim::Arena arena;
   std::size_t size = sim::Arena::kMaxSmall + 1;
@@ -124,20 +106,6 @@ TEST(ArenaDeathTest, UseAfterDeallocateIsPoisoned) {
       "use-after-poison");
 }
 
-// Reset() re-poisons every page: pointers that survive a reset (a bug by
-// the reset-per-run contract) fault on first touch.
-TEST(ArenaDeathTest, UseAfterResetIsPoisoned) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        sim::Arena arena;
-        int* p = static_cast<int*>(arena.Allocate(sizeof(int)));
-        *p = 42;
-        arena.Reset();
-        *static_cast<volatile int*>(p) = 43;
-      },
-      "use-after-poison");
-}
 #endif  // CCSIM_ARENA_ASAN
 
 // A process owner whose coroutine frames come from the simulation arena

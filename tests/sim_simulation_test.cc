@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "ccsim/config/params.h"
+#include "ccsim/net/network.h"
+#include "ccsim/resource/cpu.h"
 #include "ccsim/resource/resource_manager.h"
 #include "ccsim/sim/completion.h"
 #include "ccsim/sim/process.h"
@@ -281,6 +284,31 @@ TEST(ProcessTeardown, QueuedJobFramesDestroyedWithSimulation) {
     EXPECT_EQ(sim.suspended_processes(), 3u * kEach - 1u);
   }
   for (bool d : destroyed) EXPECT_TRUE(d);
+}
+
+TEST(ProcessTeardown, OpenBatchFrameAndRidersDestroyedWithSimulation) {
+  // RunUntil stops while a batch is still open: the opening send's CPU
+  // charge is in service, and the delivery frame holds the opener's and two
+  // riders' closures. The registry's destroy of that frame frees them all.
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    resource::Cpu sender(&sim, 1.0);
+    resource::Cpu receiver(&sim, 1.0);
+    config::NetParams params;
+    params.batching = true;
+    // 10 s of message CPU per charge at 1 MIPS.
+    net::Network net(&sim, {&sender, &receiver}, 1e7, params);
+    for (int i = 0; i < 3; ++i) {
+      net.Send(0, 1, net::MsgTag::kVote, [token] {});
+    }
+    sim.RunUntil(1.0);
+    EXPECT_EQ(net.batches_sent(), 1u);
+    EXPECT_EQ(net.messages_batched(), 2u);
+    EXPECT_EQ(sim.suspended_processes(), 1u);
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(ProcessTeardown, RegistryEmptiesWhenProcessFinishesNormally) {
