@@ -30,19 +30,13 @@
 // wire message (piggybacked lock grants and 2PC votes), trading message
 // count for batch size.
 //
-// tools/check_bench_regression.py runs one point per model cold-cache
-// (CCSIM_NETMODEL_SMOKE=1) and gates the per-model throughputs.
-
-#include <cstdlib>
+// The tier-1 test Determinism.BenchSmokePointsMatchCommittedPins pins the
+// commits of the 2PL think-8 s Experiment 1 point under each model at the
+// CCSIM_QUICK windows.
 
 #include "bench_common.h"
 
 namespace {
-
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 const char* Slug(ccsim::config::NetModel model) {
   return ccsim::config::ToString(model);
@@ -72,12 +66,6 @@ CCSIM_BENCH_FIGURE(ext_netmodel) {
   std::vector<config::CcAlgorithm> algorithms{
       config::CcAlgorithm::kTwoPhaseLocking,
       config::CcAlgorithm::kBasicTimestamp, config::CcAlgorithm::kOptimistic};
-  const bool smoke = EnvSet("CCSIM_NETMODEL_SMOKE");
-  if (smoke) {
-    thinks = {8.0};
-    degrees = {};
-    algorithms = {config::CcAlgorithm::kTwoPhaseLocking};
-  }
 
   const config::NetModel models[] = {config::NetModel::kSwitch,
                                      config::NetModel::kBandwidth,
@@ -116,7 +104,6 @@ CCSIM_BENCH_FIGURE(ext_netmodel) {
                        : 0.0;
           });
     }
-    if (degrees.empty()) continue;  // smoke: one Experiment 1 point per model
     auto exp2 = experiments::RunGrid(
         cache, algorithms, degrees,
         [model](config::CcAlgorithm alg, double degree) {
@@ -142,65 +129,61 @@ CCSIM_BENCH_FIGURE(ext_netmodel) {
         });
   }
 
-  if (!smoke) {
-    // The claim-breaking regime: the same Experiment 2 sweep on a
-    // 100x-constrained link (12.5 KB/s — a saturated shared medium rather
-    // than a switched LAN). Host-side FIFO link queueing grows with degree
-    // and eats the declustering response-time win.
-    auto slow = experiments::RunGrid(
-        cache, algorithms, degrees,
-        [](config::CcAlgorithm alg, double degree) {
-          config::SystemConfig cfg = experiments::WithNetModel(
-              experiments::Exp2Config(static_cast<int>(degree), 300, alg, 8.0),
-              config::NetModel::kBandwidth);
-          cfg.net.link_mbytes_per_sec = 0.0125;
-          return cfg;
-        });
-    ReportSeries("ext_net_exp2_degree_response_bandwidth_slow",
-        "Experiment 2 mean response time (ms) vs partitioning degree, "
-        "bandwidth model on a 100x-constrained 12.5 KB/s link",
-        "degree", degrees, algorithms,
-        [&](config::CcAlgorithm alg, double x) {
-          return At(slow, alg, x).mean_response_time * 1e3;
-        });
-    ReportSeries("ext_net_exp2_degree_link_wait_bandwidth_slow",
-        "mean link-queue wait per wire message (ms) vs partitioning degree, "
-        "bandwidth model on a 100x-constrained 12.5 KB/s link",
-        "degree", degrees, algorithms,
-        [&](config::CcAlgorithm alg, double x) {
-          return At(slow, alg, x).net_link_wait_sec_mean * 1e3;
-        });
-  }
+  // The claim-breaking regime: the same Experiment 2 sweep on a
+  // 100x-constrained link (12.5 KB/s — a saturated shared medium rather
+  // than a switched LAN). Host-side FIFO link queueing grows with degree
+  // and eats the declustering response-time win.
+  auto slow = experiments::RunGrid(
+      cache, algorithms, degrees,
+      [](config::CcAlgorithm alg, double degree) {
+        config::SystemConfig cfg = experiments::WithNetModel(
+            experiments::Exp2Config(static_cast<int>(degree), 300, alg, 8.0),
+            config::NetModel::kBandwidth);
+        cfg.net.link_mbytes_per_sec = 0.0125;
+        return cfg;
+      });
+  ReportSeries("ext_net_exp2_degree_response_bandwidth_slow",
+      "Experiment 2 mean response time (ms) vs partitioning degree, "
+      "bandwidth model on a 100x-constrained 12.5 KB/s link",
+      "degree", degrees, algorithms,
+      [&](config::CcAlgorithm alg, double x) {
+        return At(slow, alg, x).mean_response_time * 1e3;
+      });
+  ReportSeries("ext_net_exp2_degree_link_wait_bandwidth_slow",
+      "mean link-queue wait per wire message (ms) vs partitioning degree, "
+      "bandwidth model on a 100x-constrained 12.5 KB/s link",
+      "degree", degrees, algorithms,
+      [&](config::CcAlgorithm alg, double x) {
+        return At(slow, alg, x).net_link_wait_sec_mean * 1e3;
+      });
 
-  if (!smoke) {
-    // Delivery fast path under the paper's model: batching changes timing
-    // (fewer, fatter wire messages), so it is its own fingerprint/series.
-    std::vector<config::CcAlgorithm> fastpath_algs{
-        config::CcAlgorithm::kTwoPhaseLocking};
-    auto batched = experiments::RunGrid(
-        cache, fastpath_algs, thinks,
-        [](config::CcAlgorithm alg, double think) {
-          config::SystemConfig cfg = experiments::Exp1Config(8, alg, think);
-          cfg.net.batching = true;
-          return cfg;
-        });
-    ReportSeries("ext_net_exp1_throughput_fastpath",
-        "Experiment 1 throughput (commits/s), 8 nodes, switch model with "
-        "the batching fast path (compare ext_net_exp1_throughput_switch)",
-        "think", thinks, fastpath_algs,
-        [&](config::CcAlgorithm alg, double x) {
-          return At(batched, alg, x).throughput;
-        });
-    ReportSeries("ext_net_exp1_batched_per_commit_fastpath",
-        "piggybacked rider messages per commit, switch model with the "
-        "batching fast path",
-        "think", thinks, fastpath_algs,
-        [&](config::CcAlgorithm alg, double x) {
-          const auto& r = At(batched, alg, x);
-          return r.commits > 0 ? static_cast<double>(r.net_msgs_batched) /
-                                     static_cast<double>(r.commits)
-                               : 0.0;
-        });
-  }
+  // Delivery fast path under the paper's model: batching changes timing
+  // (fewer, fatter wire messages), so it is its own fingerprint/series.
+  std::vector<config::CcAlgorithm> fastpath_algs{
+      config::CcAlgorithm::kTwoPhaseLocking};
+  auto batched = experiments::RunGrid(
+      cache, fastpath_algs, thinks,
+      [](config::CcAlgorithm alg, double think) {
+        config::SystemConfig cfg = experiments::Exp1Config(8, alg, think);
+        cfg.net.batching = true;
+        return cfg;
+      });
+  ReportSeries("ext_net_exp1_throughput_fastpath",
+      "Experiment 1 throughput (commits/s), 8 nodes, switch model with "
+      "the batching fast path (compare ext_net_exp1_throughput_switch)",
+      "think", thinks, fastpath_algs,
+      [&](config::CcAlgorithm alg, double x) {
+        return At(batched, alg, x).throughput;
+      });
+  ReportSeries("ext_net_exp1_batched_per_commit_fastpath",
+      "piggybacked rider messages per commit, switch model with the "
+      "batching fast path",
+      "think", thinks, fastpath_algs,
+      [&](config::CcAlgorithm alg, double x) {
+        const auto& r = At(batched, alg, x);
+        return r.commits > 0 ? static_cast<double>(r.net_msgs_batched) /
+                                   static_cast<double>(r.commits)
+                             : 0.0;
+      });
   return 0;
 }

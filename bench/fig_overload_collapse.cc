@@ -12,21 +12,11 @@
 // arrivals is shed at the door and the admitted remainder still commits
 // inside its deadline, holding goodput at the machine's peak.
 //
-// tools/check_bench_regression.py gates a single past-knee 2PL point of the
-// admission series (CCSIM_OVERLOAD_SMOKE=1) on its deadline goodput.
-
-#include <cstdlib>
+// The tier-1 test Determinism.BenchSmokePointsMatchCommittedPins pins the
+// deadline goodput of the lambda = 15 2PL point of the admission series at
+// the CCSIM_QUICK windows.
 
 #include "bench_common.h"
-
-namespace {
-
-bool EnvSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-}  // namespace
 
 CCSIM_BENCH_FIGURE(fig_overload_collapse) {
   using namespace ccsim;
@@ -45,49 +35,37 @@ CCSIM_BENCH_FIGURE(fig_overload_collapse) {
   std::vector<config::CcAlgorithm> algorithms{
       config::CcAlgorithm::kTwoPhaseLocking, config::CcAlgorithm::kWoundWait,
       config::CcAlgorithm::kOptimistic};
-  // PR CI runs one past-knee 2PL point of the admission series and gates
-  // its goodput (tools/check_bench_regression.py).
-  const bool smoke = EnvSet("CCSIM_OVERLOAD_SMOKE");
-  if (smoke) {
-    rates = {15.0};
-    algorithms = {config::CcAlgorithm::kTwoPhaseLocking};
-  }
 
   ResultCache cache;
   auto shed = experiments::RunGrid(
       cache, algorithms, rates, [](config::CcAlgorithm alg, double lambda) {
         return experiments::OverloadConfig(alg, lambda, /*admission=*/true);
       });
-  std::vector<experiments::Point> open;
-  if (!smoke) {
-    open = experiments::RunGrid(
-        cache, algorithms, rates, [](config::CcAlgorithm alg, double lambda) {
-          return experiments::OverloadConfig(alg, lambda, /*admission=*/false);
-        });
-  }
+  auto open = experiments::RunGrid(
+      cache, algorithms, rates, [](config::CcAlgorithm alg, double lambda) {
+        return experiments::OverloadConfig(alg, lambda, /*admission=*/false);
+      });
 
-  if (!smoke) {
-    ReportSeries("fig_overload_throughput",
-        "raw throughput (commits/s) vs arrival rate, no admission control",
-        "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
-          return At(open, alg, x).throughput;
-        });
-    ReportSeries("fig_overload_goodput",
-        "deadline goodput (in-deadline commits/s) vs arrival rate, "
-        "no admission control",
-        "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
-          return At(open, alg, x).goodput_deadline;
-        });
-    ReportSeries("fig_overload_deadline_miss",
-        "deadline misses per offered transaction, no admission control",
-        "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
-          const auto& r = At(open, alg, x);
-          return r.txns_offered > 0
-                     ? static_cast<double>(r.txns_deadline_missed) /
-                           static_cast<double>(r.txns_offered)
-                     : 0.0;
-        });
-  }
+  ReportSeries("fig_overload_throughput",
+      "raw throughput (commits/s) vs arrival rate, no admission control",
+      "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
+        return At(open, alg, x).throughput;
+      });
+  ReportSeries("fig_overload_goodput",
+      "deadline goodput (in-deadline commits/s) vs arrival rate, "
+      "no admission control",
+      "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
+        return At(open, alg, x).goodput_deadline;
+      });
+  ReportSeries("fig_overload_deadline_miss",
+      "deadline misses per offered transaction, no admission control",
+      "lambda", rates, algorithms, [&](config::CcAlgorithm alg, double x) {
+        const auto& r = At(open, alg, x);
+        return r.txns_offered > 0
+                   ? static_cast<double>(r.txns_deadline_missed) /
+                         static_cast<double>(r.txns_offered)
+                   : 0.0;
+      });
   ReportSeries("fig_overload_goodput_shed",
       "deadline goodput (in-deadline commits/s) vs arrival rate, "
       "shed-newest admission (32 in flight, queue 16)",

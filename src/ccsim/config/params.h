@@ -190,14 +190,14 @@ enum class AdmissionPolicy {
 /// Open-system overload extension (ROADMAP item 2; the paper's model of
 /// Sec 3 is a closed terminal loop that can never be overloaded). All knobs
 /// default to "off", which reproduces the paper's machine exactly: with
-/// `any()` false no open source, admission controller, deadline, or backoff
-/// logic is instantiated and no extra RNG stream is consumed, so metric
+/// `any()` false no arrival process, admission controller, deadline, or
+/// backoff logic is instantiated and no extra RNG stream is consumed, so metric
 /// digests and cache fingerprints are byte-identical to the closed model.
 struct OverloadParams {
   /// Poisson arrival rate lambda (transactions/sec) of the open system.
-  /// > 0 replaces the closed terminal Source with workload::OpenSource;
-  /// think_time_sec is then unused (num_terminals still shapes the access
-  /// generator's terminal->class/relation mapping).
+  /// > 0 switches workload::Source from its closed terminal loop to one
+  /// Poisson arrival process; think_time_sec is then unused (num_terminals
+  /// still shapes the access generator's terminal->class/relation mapping).
   double arrival_rate_per_sec = 0.0;
   /// Multiprogramming cap: admitted-but-unfinished transactions the
   /// admission controller lets into the engine. 0 = no admission control.

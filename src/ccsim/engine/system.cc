@@ -83,7 +83,8 @@ System::System(const config::SystemConfig& config)
   if (config_.workload.fake_restarts) {
     services.regenerate_spec =
         [this](const workload::TransactionSpec& old_spec) {
-          return generator().Generate(old_spec.terminal, *restart_rng_);
+          return source_->generator().Generate(old_spec.terminal,
+                                               *restart_rng_);
         };
     restart_rng_ = std::make_unique<sim::RandomStream>(
         config_.run.seed, sim::stream_ids::kFakeRestartStream);
@@ -93,31 +94,27 @@ System::System(const config::SystemConfig& config)
   coordinator_ = std::make_unique<txn::CoordinatorService>(
       services, cohort_service_.get());
 
+  // The source hands transactions to the coordinator. The open system
+  // (overload extension) only changes that hand-off: the source becomes one
+  // Poisson arrival process, optionally behind the admission controller.
+  workload::Source::SubmitFn submit = [this](workload::TransactionSpec spec) {
+    return coordinator_->Submit(std::move(spec));
+  };
   if (config_.overload.open_system()) {
-    // Open system (overload extension): a single Poisson arrival process,
-    // optionally behind the admission controller. The closed Source is not
-    // built at all, so the default model's event stream is untouched.
-    workload::AdmissionController::SubmitFn engine_submit =
-        [this](workload::TransactionSpec spec) {
-          // An arrival into an *empty* system restarts the stall clock:
-          // the preceding idle gap was the arrival process's silence, not
-          // a lack of progress. A wedged system is never empty, so stuck
-          // runs still accumulate stall time arrival after arrival.
-          if (coordinator_->live_transactions() == 0) sim_.NoteProgress();
-          return coordinator_->Submit(std::move(spec));
-        };
+    submit = [this](workload::TransactionSpec spec) {
+      // An arrival into an *empty* system restarts the stall clock: the
+      // preceding idle gap was the arrival process's silence, not a lack
+      // of progress. A wedged system is never empty, so stuck runs still
+      // accumulate stall time arrival after arrival.
+      if (coordinator_->live_transactions() == 0) sim_.NoteProgress();
+      return coordinator_->Submit(std::move(spec));
+    };
     if (config_.overload.max_in_flight > 0) {
       admission_ = std::make_unique<workload::AdmissionController>(
-          &sim_, &config_.overload, std::move(engine_submit));
-      open_source_ = std::make_unique<workload::OpenSource>(
-          &sim_, &config_, &catalog_,
-          [this](workload::TransactionSpec spec) {
-            return admission_->Offer(std::move(spec));
-          },
-          admission_.get());
-    } else {
-      open_source_ = std::make_unique<workload::OpenSource>(
-          &sim_, &config_, &catalog_, std::move(engine_submit));
+          &sim_, &config_.overload, std::move(submit));
+      submit = [this](workload::TransactionSpec spec) {
+        return admission_->Offer(std::move(spec));
+      };
     }
     // A quiet arrival process leaves long legitimately idle gaps between
     // events; teach the stall watchdog to recognize idleness (nothing live,
@@ -126,12 +123,9 @@ System::System(const config::SystemConfig& config)
       return coordinator_->live_transactions() == 0 &&
              (!admission_ || admission_->queue_depth() == 0);
     });
-  } else {
-    source_ = std::make_unique<workload::Source>(
-        &sim_, &config_, &catalog_, [this](workload::TransactionSpec spec) {
-          return coordinator_->Submit(std::move(spec));
-        });
   }
+  source_ = std::make_unique<workload::Source>(
+      &sim_, &config_, &catalog_, std::move(submit), admission_.get());
 
   if (config_.faults.any()) {
     // The fault layer exists only when some rate is nonzero; otherwise no
@@ -243,11 +237,7 @@ void System::AuditSkippedWrite(txn::Transaction& t, const PageRef& page) {
 void System::Start() {
   CCSIM_CHECK_MSG(!started_, "System started twice");
   started_ = true;
-  if (source_) {
-    source_->Start();
-  } else {
-    open_source_->Start();
-  }
+  source_->Start();
   if (snoop_) snoop_->Start();
   if (fault_injector_) fault_injector_->Start();
 }
@@ -290,11 +280,7 @@ void System::ResetStatsAtWarmup() {
   phase_exec_.Reset();
   phase_commit_wait_.Reset();
   phase_restart_wasted_.Reset();
-  if (source_) {
-    source_->ResetStats(sim_.Now());
-  } else {
-    open_source_->ResetStats(sim_.Now());
-  }
+  source_->ResetStats(sim_.Now());
   if (admission_) admission_->ResetStats(sim_.Now());
   commits_at_reset_ = coordinator_->commits();
   commits_in_deadline_measured_ = 0;
@@ -345,8 +331,7 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
   r.mean_exec_time = phase_exec_.mean();
   r.mean_commit_wait_time = phase_commit_wait_.mean();
   r.mean_restart_wasted_time = phase_restart_wasted_.mean();
-  r.mean_active_txns = source_ ? source_->mean_active_txns(sim_.Now())
-                               : open_source_->mean_active_txns(sim_.Now());
+  r.mean_active_txns = source_->mean_active_txns(sim_.Now());
   r.abort_ratio = commits > 0 ? static_cast<double>(r.aborts) /
                                     static_cast<double>(commits)
                               : 0.0;
@@ -392,8 +377,7 @@ RunResult System::ExtractResult(double measured_seconds, double wall_seconds) {
   r.aborts_node_crash = aborts_of(AR::kNodeCrash);
   r.aborts_comm_timeout = aborts_of(AR::kCommTimeout);
   r.forced_terminations = coordinator_->forced_terminations() - forced_at_reset_;
-  r.transactions_submitted = source_ ? source_->transactions_submitted()
-                                     : open_source_->transactions_submitted();
+  r.transactions_submitted = source_->transactions_submitted();
 
   // Overload metrics. Without OverloadParams these reduce to the documented
   // trivial values (offered == admitted == submitted, goodput_deadline ==

@@ -24,7 +24,6 @@
 #include "ccsim/txn/coordinator.h"
 #include "ccsim/txn/cohort.h"
 #include "ccsim/workload/admission.h"
-#include "ccsim/workload/open_source.h"
 #include "ccsim/workload/source.h"
 
 namespace ccsim::engine {
@@ -40,7 +39,7 @@ class System : public cc::CcContext {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Spawns terminals (and the Snoop under 2PL). Called by Run(); exposed
+  /// Starts the source (and the Snoop under 2PL). Called by Run(); exposed
   /// separately for tests that drive the simulation manually.
   void Start();
 
@@ -61,11 +60,6 @@ class System : public cc::CcContext {
   const db::Catalog& catalog() const { return catalog_; }
   net::Network& network() { return *network_; }
   txn::CoordinatorService& coordinator() { return *coordinator_; }
-  /// The closed terminal source. Valid only in the (default) closed model;
-  /// open-system runs use open_source() instead.
-  workload::Source& source() { return *source_; }
-  /// The open-system Poisson source; null in the closed model.
-  workload::OpenSource* open_source() { return open_source_.get(); }
   /// The admission controller; null unless OverloadParams::max_in_flight.
   workload::AdmissionController* admission() { return admission_.get(); }
   cc::CcManager* cc_at(NodeId id) {
@@ -101,10 +95,6 @@ class System : public cc::CcContext {
  private:
   void ResetStatsAtWarmup();
   RunResult ExtractResult(double measured_seconds, double wall_seconds);
-  /// Access generator of whichever source variant exists.
-  const workload::AccessGenerator& generator() const {
-    return source_ ? source_->generator() : open_source_->generator();
-  }
 
   config::SystemConfig config_;
   sim::Simulation sim_;
@@ -115,8 +105,7 @@ class System : public cc::CcContext {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<txn::CohortService> cohort_service_;
   std::unique_ptr<txn::CoordinatorService> coordinator_;
-  std::unique_ptr<workload::Source> source_;  // closed model (default)
-  std::unique_ptr<workload::OpenSource> open_source_;     // open model
+  std::unique_ptr<workload::Source> source_;
   std::unique_ptr<workload::AdmissionController> admission_;
   std::unique_ptr<cc::Snoop> snoop_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;

@@ -107,10 +107,6 @@ class Network {
     double retry_backoff_sec = 0.0;
   };
   void SetFaultPolicy(FaultPolicy policy) { faults_ = std::move(policy); }
-  bool faults_active() const {
-    return static_cast<bool>(faults_.should_drop) ||
-           static_cast<bool>(faults_.node_up);
-  }
 
   // Counters accumulate over the whole run; System reports the measurement
   // window by subtracting the values it snapshots at warmup.

@@ -53,16 +53,16 @@ inline constexpr std::uint64_t kFaultDiskStream = 8901;
 inline constexpr std::uint64_t kFaultCrashStreamBase = 9000;
 
 /// Terminal band: one stream per terminal, base + terminal index, driving
-/// think times and access-set generation (workload::Source).
+/// think times and access-set generation (workload::Source, closed model).
 inline constexpr std::uint64_t kTerminalStreamBase = 100000;
 
 /// Open-system arrival process: Poisson inter-arrival draws
-/// (workload::OpenSource).
+/// (workload::Source, open model).
 inline constexpr std::uint64_t kOpenArrivalStream = 200000;
 
 /// Open-system access-set generation: one aggregated stream shared by all
-/// arrivals (workload::OpenSource), replacing the per-terminal streams of
-/// the closed Source.
+/// arrivals (workload::Source, open model), replacing the per-terminal
+/// streams of the closed model.
 inline constexpr std::uint64_t kOpenSpecStream = 200001;
 
 }  // namespace ccsim::sim::stream_ids

@@ -27,7 +27,6 @@ void CohortService::HandleLoad(const TxnPtr& txn, int attempt,
                                int cohort_index) {
   if (txn->IsStaleAttempt(attempt)) return;
   if (txn->cohort(cohort_index).abort_flag) return;  // abort raced the load
-  ++cohorts_started_;
   RunCohort(txn, attempt, cohort_index);
 }
 
@@ -154,10 +153,7 @@ void CohortService::HandleCommit(const TxnPtr& txn, int attempt,
     // Kick off the asynchronous write-back of every updated page.
     for (const workload::PageAccess& access :
          txn->cohort_spec(cohort_index).accesses) {
-      if (access.is_write) {
-        ++async_writes_;
-        AsyncPageWrite(node);
-      }
+      if (access.is_write) AsyncPageWrite(node);
     }
   }
   s_.network->Send(node, kHostNode, net::MsgTag::kAck,

@@ -1,8 +1,6 @@
 #ifndef CCSIM_TXN_COHORT_H_
 #define CCSIM_TXN_COHORT_H_
 
-#include <cstdint>
-
 #include "ccsim/sim/process.h"
 #include "ccsim/txn/services.h"
 #include "ccsim/txn/transaction.h"
@@ -39,9 +37,6 @@ class CohortService {
   void HandleCommit(const TxnPtr& txn, int attempt, int cohort_index);
   void HandleAbort(const TxnPtr& txn, int attempt, int cohort_index);
 
-  std::uint64_t cohorts_started() const { return cohorts_started_; }
-  std::uint64_t async_writes_issued() const { return async_writes_; }
-
   /// Cohort process frames live in the simulation's arena (process.h).
   sim::Arena* process_arena() { return s_.sim->arena(); }
 
@@ -55,8 +50,6 @@ class CohortService {
 
   Services s_;
   CoordinatorService* coord_ = nullptr;
-  std::uint64_t cohorts_started_ = 0;
-  std::uint64_t async_writes_ = 0;
 };
 
 }  // namespace ccsim::txn

@@ -114,7 +114,6 @@ void CoordinatorService::OnVote(const TxnPtr& txn, int attempt,
     BeginAbort(txn, AbortReason::kCertification);
     return;
   }
-  ++txn->yes_votes;
   if (txn->votes_received == txn->num_cohorts()) {
     txn->set_phase(TxnPhase::kCommitting);
     SendCommits(txn);

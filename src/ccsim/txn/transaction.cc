@@ -94,7 +94,6 @@ void Transaction::BeginAttempt(sim::SimTime attempt_time) {
   loads_sent = 0;
   ready_count = 0;
   votes_received = 0;
-  yes_votes = 0;
   commit_acks = 0;
   abort_acks = 0;
   phase_timer = 0;

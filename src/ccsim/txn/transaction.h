@@ -141,7 +141,6 @@ class Transaction {
   int loads_sent = 0;
   int ready_count = 0;
   int votes_received = 0;
-  int yes_votes = 0;
   int commit_acks = 0;
   int abort_acks = 0;
 

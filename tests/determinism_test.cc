@@ -13,6 +13,7 @@
 
 #include "ccsim/config/params.h"
 #include "ccsim/engine/run.h"
+#include "ccsim/experiments/experiments.h"
 #include "test_util.h"
 
 namespace ccsim::engine {
@@ -98,6 +99,22 @@ std::uint64_t PathDigest(const RunResult& r) {
   d.Add(r.net_rdma_ops);
   d.Add(r.net_bytes_sent);
   d.Add(r.net_link_wait_sec_mean);
+  return d.value();
+}
+
+// Digest() plus the counters that only the open-system source, admission
+// control and deadlines move.
+std::uint64_t OverloadDigest(const RunResult& r) {
+  MetricDigest d;
+  d.Add(Digest(r));
+  d.Add(r.txns_offered);
+  d.Add(r.txns_admitted);
+  d.Add(r.txns_shed);
+  d.Add(r.txns_deadline_missed);
+  d.Add(r.txns_retry_exhausted);
+  d.Add(r.goodput_deadline);
+  d.Add(r.admission_queue_mean);
+  d.Add(r.admission_queue_max);
   return d.value();
 }
 
@@ -219,6 +236,88 @@ TEST(Determinism, NetworkAndFaultPathDigestsMatchCommittedGoldens) {
   }
 #else
   GTEST_SKIP() << "golden digests are pinned for x86-64 libstdc++ only";
+#endif
+}
+
+// Golden digests for the open system, which no closed-model golden reaches:
+// the Poisson arrival process without admission control, behind kBlock
+// backpressure with a queue, and behind kShedOldest with fake restarts
+// (regenerated access sets on restart). Same platform rule and refresh
+// procedure as DigestsMatchCommittedGoldens.
+TEST(Determinism, OpenSystemDigestsMatchCommittedGoldens) {
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  using config::AdmissionPolicy;
+  using config::CcAlgorithm;
+  struct Golden {
+    const char* name;
+    CcAlgorithm alg;
+    double lambda;
+    bool admission;
+    AdmissionPolicy policy;
+    bool fake_restarts;
+    std::uint64_t digest;
+  };
+  constexpr Golden kGoldens[] = {
+      {"open", CcAlgorithm::kWoundWait, 9, false, AdmissionPolicy::kShedNewest,
+       false, 0x0f8cc6ec7d1ca1f8ull},
+      {"block", CcAlgorithm::kOptimistic, 12, true, AdmissionPolicy::kBlock,
+       false, 0xa2d1038252164d02ull},
+      {"shed_oldest", CcAlgorithm::kTwoPhaseLocking, 12, true,
+       AdmissionPolicy::kShedOldest, true, 0x7547a436914e99efull},
+  };
+  for (const Golden& g : kGoldens) {
+    auto cfg = experiments::OverloadConfig(g.alg, g.lambda, g.admission);
+    cfg.run.warmup_sec = 50;
+    cfg.run.measure_sec = 200;
+    if (g.admission) cfg.overload.admission_policy = g.policy;
+    cfg.workload.fake_restarts = g.fake_restarts;
+    RunResult r = RunSimulation(cfg);
+    // Each variant must actually take its path.
+    EXPECT_EQ(r.admission_queue_max > 0, g.admission) << g.name;
+    EXPECT_EQ(r.txns_shed > 0,
+              g.admission && g.policy != AdmissionPolicy::kBlock)
+        << g.name;
+    EXPECT_GT(r.aborts, 0u) << g.name;
+    EXPECT_EQ(OverloadDigest(r), g.digest) << g.name;
+  }
+#else
+  GTEST_SKIP() << "golden digests are pinned for x86-64 libstdc++ only";
+#endif
+}
+
+// Four simulated numbers of the extension figures, pinned exactly: the
+// deadline goodput of one past-knee 2PL point with shed-newest admission
+// (fig_overload_collapse), and the commits of Experiment 1 2PL at think 8 s
+// under each network model (ext_netmodel). All run at the CCSIM_QUICK
+// windows (100 s warmup, 400 s measured). Same platform rule and refresh
+// procedure as the goldens.
+TEST(Determinism, BenchSmokePointsMatchCommittedPins) {
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  auto quick = [](config::SystemConfig cfg) {
+    cfg.run.warmup_sec = 100;
+    cfg.run.measure_sec = 400;
+    return cfg;
+  };
+  RunResult overload = RunSimulation(quick(experiments::OverloadConfig(
+      config::CcAlgorithm::kTwoPhaseLocking, 15, /*admission=*/true)));
+  EXPECT_EQ(overload.goodput_deadline, 8.8925);  // 3557 in-deadline commits
+  struct Pin {
+    config::NetModel model;
+    std::uint64_t commits;
+  };
+  constexpr Pin kPins[] = {
+      {config::NetModel::kSwitch, 4126},
+      {config::NetModel::kBandwidth, 4096},
+      {config::NetModel::kRdma, 4151},
+  };
+  for (const Pin& p : kPins) {
+    RunResult r = RunSimulation(quick(experiments::WithNetModel(
+        experiments::Exp1Config(8, config::CcAlgorithm::kTwoPhaseLocking, 8),
+        p.model)));
+    EXPECT_EQ(r.commits, p.commits) << config::ToString(p.model);
+  }
+#else
+  GTEST_SKIP() << "benchmark pins are asserted on x86-64 libstdc++ only";
 #endif
 }
 

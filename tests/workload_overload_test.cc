@@ -1,7 +1,7 @@
-// Open-system overload layer: the Poisson OpenSource, the admission
-// controller's three policies, deadlines / backoff / restart budgets in the
-// engine, the idle-probe watchdog interaction, and fingerprint stability of
-// the all-off defaults.
+// Open-system overload layer: the Source's Poisson arrival mode, the
+// admission controller's three policies, deadlines / backoff / restart
+// budgets in the engine, the idle-probe watchdog interaction, and
+// fingerprint stability of the all-off defaults.
 
 #include <gtest/gtest.h>
 
@@ -19,13 +19,13 @@
 #include "ccsim/sim/completion.h"
 #include "ccsim/sim/simulation.h"
 #include "ccsim/workload/admission.h"
-#include "ccsim/workload/open_source.h"
+#include "ccsim/workload/source.h"
 #include "test_util.h"
 
 namespace ccsim::workload {
 namespace {
 
-// --- OpenSource -------------------------------------------------------------
+// --- Source, open mode ------------------------------------------------------
 
 struct OpenFixture {
   explicit OpenFixture(double lambda) : cfg(config::PaperBaseConfig()) {
@@ -44,7 +44,7 @@ TEST(OpenSource, ArrivalCountMatchesPoissonRate) {
   const double lambda = 5.0, horizon = 400.0;
   OpenFixture f(lambda);
   std::uint64_t arrivals = 0;
-  OpenSource source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec) {
+  Source source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec) {
     ++arrivals;
     return sim::MakeCompletion<sim::Unit>(&f.sim);
   });
@@ -64,7 +64,7 @@ TEST(OpenSource, InterArrivalGapsAreExponential) {
   const double lambda = 5.0;
   OpenFixture f(lambda);
   std::vector<double> arrival_times;
-  OpenSource source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec) {
+  Source source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec) {
     arrival_times.push_back(f.sim.Now());
     return sim::MakeCompletion<sim::Unit>(&f.sim);
   });
@@ -97,7 +97,7 @@ TEST(OpenSource, TerminalIndicesCycleThroughTheTerminalSpace) {
   OpenFixture f(10.0);
   f.cfg.workload.num_terminals = 16;
   std::vector<int> terminals;
-  OpenSource source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec s) {
+  Source source(&f.sim, &f.cfg, f.catalog.get(), [&](TransactionSpec s) {
     terminals.push_back(s.terminal);
     return sim::MakeCompletion<sim::Unit>(&f.sim);
   });
@@ -123,7 +123,7 @@ TEST(OpenSource, BlockPolicyBackpressuresTheArrivalClock) {
                                   held.push_back(c);
                                   return c;
                                 });
-  OpenSource source(
+  Source source(
       &f.sim, &f.cfg, f.catalog.get(),
       [&](TransactionSpec spec) { return admission.Offer(std::move(spec)); },
       &admission);

@@ -6,10 +6,9 @@ Two subcommands:
   collect   Run bench/micro_simulator with --benchmark_format=json plus one
             cold-cache engine smoke sweep (a figure binary under CCSIM_QUICK=1
             with a throwaway CCSIM_CACHE_DIR, so the result cache cannot hide
-            engine slowdowns), a cold-cache 256-node megascale smoke whose
+            engine slowdowns) and a cold-cache 256-node megascale smoke whose
             peak RSS (getrusage of the child) gates the kernel's memory
-            footprint, a past-knee overload smoke, and a one-point-per-model
-            network smoke, and write the combined items/sec snapshot. The
+            footprint, and write the combined items/sec snapshot. The
             delivery fast path's speedup (BM_MessageHeavyExp2FastPath over
             ...Plain) is gated >= 1.2x at collect time.
 
@@ -24,6 +23,10 @@ instructions are in EXPERIMENTS.md.
 Items/sec is the gated metric because it is what the benchmarks advertise
 (SetItemsProcessed); for benchmarks that do not set it, the reciprocal of
 real time per iteration is used so every row has a comparable rate.
+
+Simulated numbers are not rates and are not gated here: the overload smoke
+point's deadline goodput and the per-network-model throughputs are pinned
+exactly by the tier-1 test Determinism.BenchSmokePointsMatchCommittedPins.
 """
 
 import argparse
@@ -44,18 +47,6 @@ SMOKE_FIGURE = "fig02_throughput"
 # as its reciprocal so the compare gate's drops-are-bad logic fires when the
 # footprint grows.
 MEGASCALE_FIGURE = "ext_megascale"
-# The overload gate: one past-knee open-system point (CCSIM_OVERLOAD_SMOKE
-# restricts fig_overload_collapse to 2PL at 2x the capacity knee, admission
-# series only). Deadline goodput is simulated time - deterministic - so it
-# pins the graceful-degradation behavior: a regression that lets the shed
-# policy admit too much (or too little) drops goodput and trips the gate.
-OVERLOAD_FIGURE = "fig_overload_collapse"
-# The network-model gate: one Experiment 1 point per network cost model
-# (CCSIM_NETMODEL_SMOKE restricts ext_netmodel to 2PL at think 8 s), run
-# cold. The gated throughputs are simulated commits/sec - deterministic -
-# so they pin each model's cost accounting.
-NETMODEL_FIGURE = "ext_netmodel"
-NETMODEL_SMOKE_MODELS = ("switch", "bandwidth", "rdma")
 # The delivery fast path must keep paying for itself: the batching run of
 # the message-heavy Experiment 2 smoke has to simulate commits at least
 # this much faster (wall clock) than the plain run. Checked at collect
@@ -214,101 +205,6 @@ def run_megascale_smoke(build_dir):
     }
 
 
-def min_cache_goodput(cache_dir):
-    """Smallest goodput_deadline (commits/s) across the smoke's cache entries."""
-    worst = None
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.endswith(".result"):
-            continue
-        with open(os.path.join(cache_dir, name)) as f:
-            for line in f:
-                if line.startswith("goodput_deadline "):
-                    value = float(line.split(" ", 1)[1])
-                    worst = value if worst is None else min(worst, value)
-                    break
-    if worst is None:
-        sys.exit("error: overload smoke produced no goodput_deadline fields")
-    return worst
-
-
-def run_overload_smoke(build_dir):
-    """Runs the past-knee overload point cold and gates its deadline goodput.
-
-    The smoke point is 2PL at twice the ~7.5 tx/s capacity knee with
-    shed-newest admission control; a healthy shed policy keeps goodput near
-    the machine's peak there. Goodput is simulated commits/sec, so the gated
-    number is deterministic and machine-independent - it moves only when the
-    engine's overload behavior changes.
-    """
-    binary = os.path.join(build_dir, "bench", OVERLOAD_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-overload-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"
-        env["CCSIM_OVERLOAD_SMOKE"] = "1"
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache overload smoke: {binary}", file=sys.stderr)
-        subprocess.run([binary], check=True, env=env,
-                       stdout=subprocess.DEVNULL)
-        goodput = min_cache_goodput(env["CCSIM_CACHE_DIR"])
-    print(f"[collect] overload smoke: goodput_deadline={goodput:.3f}",
-          file=sys.stderr)
-    return {"OverloadSmoke/goodput": goodput}
-
-
-def netmodel_smoke_throughput(csv_dir, model):
-    """Throughput of the single smoke point from one model's series CSV."""
-    path = os.path.join(csv_dir, f"ext_net_exp1_throughput_{model}.csv")
-    try:
-        with open(path) as f:
-            lines = [line.strip() for line in f if line.strip()]
-    except OSError as e:
-        sys.exit(f"error: netmodel smoke produced no {model} CSV: {e}")
-    if len(lines) < 2:
-        sys.exit(f"error: {path} has no data rows")
-    return float(lines[1].split(",")[1])
-
-
-def run_netmodel_smoke(build_dir):
-    """Runs one Experiment 1 point per network model cold and gates each.
-
-    CCSIM_NETMODEL_SMOKE=1 restricts ext_netmodel to 2PL at think 8 s under
-    the switch, bandwidth, and RDMA models (three fresh simulations; the
-    cache is cold so even the switch point is recomputed). Each model's
-    throughput is simulated commits/sec - deterministic - so the three gated
-    numbers pin the models' relative cost accounting: switch >= bandwidth
-    (wire time is extra cost) and rdma >= switch (receiver CPU is removed).
-    """
-    binary = os.path.join(build_dir, "bench", NETMODEL_FIGURE)
-    if not os.path.exists(binary):
-        sys.exit(f"error: {binary} not found (build the Release tree first)")
-    with tempfile.TemporaryDirectory(prefix="ccsim-netmodel-") as tmp:
-        env = dict(os.environ)
-        env["CCSIM_QUICK"] = "1"
-        env["CCSIM_NETMODEL_SMOKE"] = "1"
-        env["CCSIM_CACHE_DIR"] = os.path.join(tmp, "cache")  # cold cache
-        env["CCSIM_CSV_DIR"] = os.path.join(tmp, "csv")
-        env["CCSIM_JOBS"] = "1"
-        os.makedirs(env["CCSIM_CACHE_DIR"])
-        os.makedirs(env["CCSIM_CSV_DIR"])
-        print(f"[collect] cold-cache netmodel smoke: {binary}", file=sys.stderr)
-        subprocess.run([binary], check=True, env=env,
-                       stdout=subprocess.DEVNULL)
-        rates = {
-            f"NetModelSmoke/throughput_{model}":
-                netmodel_smoke_throughput(env["CCSIM_CSV_DIR"], model)
-            for model in NETMODEL_SMOKE_MODELS
-        }
-    for name, value in sorted(rates.items()):
-        print(f"[collect] netmodel smoke: {name}={value:.3f}", file=sys.stderr)
-    return rates
-
-
 def run_fastpath_gate(build_dir):
     """The batching fast path's whole-machine speedup, gated at collect time.
 
@@ -359,8 +255,6 @@ def cmd_collect(args):
     if not args.skip_smoke:
         rates.update(run_cold_smoke_sweep(args.build_dir))
         rates.update(run_megascale_smoke(args.build_dir))
-        rates.update(run_overload_smoke(args.build_dir))
-        rates.update(run_netmodel_smoke(args.build_dir))
     snapshot = {
         "schema": SCHEMA_VERSION,
         "metric": "items_per_second",
