@@ -6,18 +6,6 @@
 
 namespace ccsim::cc {
 
-namespace {
-PageRef PageFromKey(std::uint64_t key) {
-  return PageRef{static_cast<FileId>(key >> 32),
-                 static_cast<int>(key & 0xffffffffu)};
-}
-}  // namespace
-
-BtoManager::BtoManager(CcContext* ctx, NodeId node)
-    : ctx_(ctx), node_(node) {
-  (void)node_;
-}
-
 std::shared_ptr<sim::Completion<AccessOutcome>> BtoManager::RequestAccess(
     const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
     AccessMode mode) {
@@ -99,7 +87,7 @@ void BtoManager::ReevaluateBlockedReads(std::uint64_t key) {
     if (item.rts < br.ts) item.rts = br.ts;
     wait_times_.Record(sim.Now() - br.since);
     --blocked_readers_;
-    ctx_->AuditRead(*br.txn, PageFromKey(key));
+    ctx_->AuditRead(*br.txn, PageRef::FromKey(key));
     br.completion->Complete(AccessOutcome::kGranted);
   }
   item.blocked_reads = std::move(still_blocked);

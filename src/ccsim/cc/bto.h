@@ -37,17 +37,11 @@ namespace ccsim::cc {
 /// pages once, in spec order, so the items hold all of its state here.
 class BtoManager : public CcManager {
  public:
-  BtoManager(CcContext* ctx, NodeId node);
+  using CcManager::CcManager;
 
   std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
       AccessMode mode) override;
-  std::shared_ptr<sim::Completion<Vote>> Prepare(const txn::TxnPtr& txn,
-                                                 int cohort_index) override {
-    (void)txn;
-    (void)cohort_index;
-    return ImmediateVote(&ctx_->simulation(), Vote::kYes);
-  }
   void CommitCohort(const txn::TxnPtr& txn, int cohort_index) override;
   void AbortCohort(const txn::TxnPtr& txn, int cohort_index) override;
 
@@ -80,8 +74,6 @@ class BtoManager : public CcManager {
   /// grants those no longer blocked, rejects those now out of order.
   void ReevaluateBlockedReads(std::uint64_t key);
 
-  CcContext* ctx_;
-  NodeId node_;
   std::unordered_map<std::uint64_t, Item> items_;
   stats::Tally wait_times_;
   std::uint64_t rejections_ = 0;

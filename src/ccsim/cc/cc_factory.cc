@@ -16,7 +16,7 @@ std::unique_ptr<CcManager> CreateCcManager(config::CcAlgorithm algorithm,
                                            CcContext* ctx, NodeId node) {
   switch (algorithm) {
     case config::CcAlgorithm::kNoDc:
-      return std::make_unique<NoDcManager>(ctx);
+      return std::make_unique<NoDcManager>(ctx, node);
     case config::CcAlgorithm::kTwoPhaseLocking:
       return std::make_unique<TwoPhaseLockingManager>(ctx, node);
     case config::CcAlgorithm::kWoundWait:

@@ -71,6 +71,7 @@ class CcContext {
 /// cohort's resumption through the calendar).
 class CcManager {
  public:
+  CcManager(CcContext* ctx, NodeId node) : ctx_(ctx), node_(node) {}
   virtual ~CcManager() = default;
 
   /// Called (at the cohort's node) before the cohort's first access.
@@ -86,24 +87,18 @@ class CcManager {
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
       AccessMode mode) = 0;
 
-  /// First phase of commit at this node. OPT runs certification here; the
-  /// deferred-write 2PL variant upgrades its write locks here (and may
-  /// block, hence the completion). If the transaction aborts while the
-  /// prepare is pending, the completion fires with kNo after AbortCohort's
-  /// cleanup; the caller checks the cohort's abort flag before voting.
+  /// First phase of commit at this node: by default an immediate yes. OPT
+  /// runs certification here; the deferred-write 2PL variant upgrades its
+  /// write locks here (and may block, hence the completion). If the
+  /// transaction aborts while the prepare is pending, the completion fires
+  /// with kNo after AbortCohort's cleanup; the caller checks the cohort's
+  /// abort flag before voting.
   virtual std::shared_ptr<sim::Completion<Vote>> Prepare(
-      const txn::TxnPtr& txn, int cohort_index) = 0;
-
- protected:
-  /// Helper for managers whose first commit phase never waits.
-  static std::shared_ptr<sim::Completion<Vote>> ImmediateVote(
-      sim::Simulation* sim, Vote vote) {
-    auto c = sim::MakeCompletion<Vote>(sim);
-    c->Complete(vote);
-    return c;
+      const txn::TxnPtr& txn, int cohort_index) {
+    (void)txn;
+    (void)cohort_index;
+    return ImmediateVote(Vote::kYes);
   }
-
- public:
 
   /// Second phase, commit: release locks / install pending or certified
   /// writes / bump timestamps.
@@ -121,6 +116,18 @@ class CcManager {
   virtual const stats::Tally* blocking_times() const { return nullptr; }
 
   virtual void ResetStats() {}
+
+ protected:
+  /// A vote that is available at once (a first commit phase that never
+  /// waits).
+  std::shared_ptr<sim::Completion<Vote>> ImmediateVote(Vote vote) const {
+    auto c = sim::MakeCompletion<Vote>(&ctx_->simulation());
+    c->Complete(vote);
+    return c;
+  }
+
+  CcContext* ctx_;
+  NodeId node_;
 };
 
 }  // namespace ccsim::cc

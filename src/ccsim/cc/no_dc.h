@@ -15,7 +15,7 @@ namespace ccsim::cc {
 /// applicable to it.
 class NoDcManager : public CcManager {
  public:
-  explicit NoDcManager(CcContext* ctx) : ctx_(ctx) {}
+  using CcManager::CcManager;
 
   std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
@@ -25,13 +25,6 @@ class NoDcManager : public CcManager {
     if (mode == AccessMode::kRead) ctx_->AuditRead(*txn, page);
     completion->Complete(AccessOutcome::kGranted);
     return completion;
-  }
-
-  std::shared_ptr<sim::Completion<Vote>> Prepare(const txn::TxnPtr& txn,
-                                                 int cohort_index) override {
-    (void)txn;
-    (void)cohort_index;
-    return ImmediateVote(&ctx_->simulation(), Vote::kYes);
   }
 
   void CommitCohort(const txn::TxnPtr& txn, int cohort_index) override {
@@ -45,9 +38,6 @@ class NoDcManager : public CcManager {
     (void)txn;
     (void)cohort_index;
   }
-
- private:
-  CcContext* ctx_;
 };
 
 }  // namespace ccsim::cc

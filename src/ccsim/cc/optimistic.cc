@@ -4,18 +4,6 @@
 
 namespace ccsim::cc {
 
-namespace {
-PageRef PageFromKey(std::uint64_t key) {
-  return PageRef{static_cast<FileId>(key >> 32),
-                 static_cast<int>(key & 0xffffffffu)};
-}
-}  // namespace
-
-OptimisticManager::OptimisticManager(CcContext* ctx, NodeId node)
-    : ctx_(ctx), node_(node) {
-  (void)node_;
-}
-
 std::shared_ptr<sim::Completion<AccessOutcome>>
 OptimisticManager::RequestAccess(const txn::TxnPtr& txn, int cohort_index,
                                  const PageRef& page, AccessMode mode) {
@@ -39,7 +27,7 @@ OptimisticManager::RequestAccess(const txn::TxnPtr& txn, int cohort_index,
 
 std::shared_ptr<sim::Completion<Vote>> OptimisticManager::Prepare(
     const txn::TxnPtr& txn, int cohort_index) {
-  return ImmediateVote(&ctx_->simulation(), Certify(txn, cohort_index));
+  return ImmediateVote(Certify(txn, cohort_index));
 }
 
 Vote OptimisticManager::Certify(const txn::TxnPtr& txn, int cohort_index) {
@@ -113,9 +101,9 @@ void OptimisticManager::CommitCohort(const txn::TxnPtr& txn,
     item.cert_writes.erase(txn->id());
     if (item.wts < c) {
       item.wts = c;
-      ctx_->AuditInstallWrite(*txn, PageFromKey(key));
+      ctx_->AuditInstallWrite(*txn, PageRef::FromKey(key));
     } else {
-      ctx_->AuditSkippedWrite(*txn, PageFromKey(key));
+      ctx_->AuditSkippedWrite(*txn, PageRef::FromKey(key));
     }
   }
 }

@@ -35,7 +35,7 @@ namespace ccsim::cc {
 /// and the in-doubt entries clear; on abort the entries just clear.
 class OptimisticManager : public CcManager {
  public:
-  OptimisticManager(CcContext* ctx, NodeId node);
+  using CcManager::CcManager;
 
   std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
@@ -65,8 +65,6 @@ class OptimisticManager : public CcManager {
     bool certified = false;
   };
 
-  CcContext* ctx_;
-  NodeId node_;
   std::unordered_map<std::uint64_t, Item> items_;
   std::unordered_map<TxnId, TxnLocal> txn_state_;
   std::uint64_t cert_failures_ = 0;

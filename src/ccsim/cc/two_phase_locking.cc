@@ -6,7 +6,7 @@
 namespace ccsim::cc {
 
 TwoPhaseLockingManager::TwoPhaseLockingManager(CcContext* ctx, NodeId node)
-    : ctx_(ctx), node_(node), lock_table_(&ctx->simulation()) {
+    : CcManager(ctx, node), lock_table_(&ctx->simulation()) {
   lock_table_.set_allow_queue_jump(ctx->config().locking.queue_jump);
   // Audit the read version at the exact grant time, including grants that
   // happen after a wait (exclusive locks block installs, so the version a
@@ -27,22 +27,21 @@ std::shared_ptr<sim::Completion<AccessOutcome>>
 TwoPhaseLockingManager::RequestAccess(const txn::TxnPtr& txn, int cohort_index,
                                       const PageRef& page, AccessMode mode) {
   (void)cohort_index;
-  LockMode lock_mode =
-      mode == AccessMode::kWrite ? LockMode::kExclusive : LockMode::kShared;
-  auto result = lock_table_.Request(txn, page, lock_mode);
+  auto result = lock_table_.Request(txn, page, LockModeFor(mode));
   if (result.granted_immediately) {
     if (mode == AccessMode::kRead) ctx_->AuditRead(*txn, page);
-    return result.completion;
+  } else {
+    OnBlocked(txn, page, result);
   }
-
-  // The cohort blocked: run local deadlock detection (Sec 2.2: "local
-  // deadlock detection occurs whenever a cohort blocks").
-  DetectLocalDeadlock(txn);
   return result.completion;
 }
 
 // ccsim-analyze: hot-path(once per blocked request)
-void TwoPhaseLockingManager::DetectLocalDeadlock(const txn::TxnPtr& txn) {
+void TwoPhaseLockingManager::OnBlocked(
+    const txn::TxnPtr& txn, const PageRef& page,
+    const LockTable::RequestResult& blocked) {
+  (void)page;
+  (void)blocked;
   const auto& cycle = lock_table_.FindCycleFrom(*txn);
   if (cycle.empty()) return;
   txn::TxnPtr victim = FindTxn(YoungestMember(cycle));

@@ -10,7 +10,8 @@
 
 namespace ccsim::cc {
 
-/// Distributed two-phase locking (Sec 2.2, [Gray79]).
+/// Distributed two-phase locking (Sec 2.2, [Gray79]), and the request path
+/// every locking variant shares.
 ///
 /// Cohorts lock dynamically as they execute: shared locks for reads,
 /// exclusive locks for accesses that update. Locks are held until commit or
@@ -18,20 +19,21 @@ namespace ccsim::cc {
 /// cohort blocks; global deadlocks are found by the rotating Snoop process
 /// (snoop.h), which unions every node's LocalWaitsForEdges(). Victims are the
 /// youngest (most recent initial startup time) transaction in the cycle.
+///
+/// The variants (wound-wait, wait-die, 2PL-TO, 2PL-DW) use the same lock
+/// table and request path; they differ only in what a request that has to
+/// wait does (OnBlocked) and, for 2PL-DW, in the mode an access locks
+/// (LockModeFor).
 class TwoPhaseLockingManager : public CcManager {
  public:
   TwoPhaseLockingManager(CcContext* ctx, NodeId node);
 
   void BeginCohort(const txn::TxnPtr& txn, int cohort_index) override;
+  /// Requests the access's lock. An immediate grant of a read audits the
+  /// version read; a request that has to wait goes to OnBlocked.
   std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
       const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-      AccessMode mode) override;
-  std::shared_ptr<sim::Completion<Vote>> Prepare(const txn::TxnPtr& txn,
-                                                 int cohort_index) override {
-    (void)txn;
-    (void)cohort_index;
-    return ImmediateVote(&ctx_->simulation(), Vote::kYes);
-  }
+      AccessMode mode) final;
   void CommitCohort(const txn::TxnPtr& txn, int cohort_index) override;
   void AbortCohort(const txn::TxnPtr& txn, int cohort_index) override;
 
@@ -50,13 +52,20 @@ class TwoPhaseLockingManager : public CcManager {
   const LockTable& lock_table() const { return lock_table_; }
 
  protected:
-  /// Runs local deadlock detection from `txn` over the live lock table and
-  /// requests the abort of the youngest member of the first cycle found, if
-  /// any (Sec 2.2: detection runs whenever a cohort blocks).
-  void DetectLocalDeadlock(const txn::TxnPtr& txn);
+  /// The lock an access requests: exclusive for an update, shared for a
+  /// read.
+  virtual LockMode LockModeFor(AccessMode mode) const {
+    return mode == AccessMode::kWrite ? LockMode::kExclusive
+                                      : LockMode::kShared;
+  }
+  /// The conflict rule, run when `txn`'s request on `page` queued behind
+  /// `blocked.blockers`. 2PL runs local deadlock detection from `txn` over
+  /// the live lock table and requests the abort of the youngest member of
+  /// the first cycle found, if any (Sec 2.2: detection runs whenever a
+  /// cohort blocks).
+  virtual void OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                         const LockTable::RequestResult& blocked);
 
-  CcContext* ctx_;
-  NodeId node_;
   LockTable lock_table_;
 };
 

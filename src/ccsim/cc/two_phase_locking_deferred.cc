@@ -6,28 +6,6 @@
 
 namespace ccsim::cc {
 
-TwoPhaseLockingDeferredManager::TwoPhaseLockingDeferredManager(CcContext* ctx,
-                                                               NodeId node)
-    : TwoPhaseLockingManager(ctx, node) {}
-
-std::shared_ptr<sim::Completion<AccessOutcome>>
-TwoPhaseLockingDeferredManager::RequestAccess(const txn::TxnPtr& txn,
-                                              int /*cohort_index*/,
-                                              const PageRef& page,
-                                              AccessMode mode) {
-  // A write access locks shared for now; Prepare upgrades it. (The version
-  // audit still treats it as a blind write: the install happens at commit
-  // under the exclusive lock.) Blind writes have no read semantics, so only
-  // true reads are audited here.
-  auto result = lock_table_.Request(txn, page, LockMode::kShared);
-  if (!result.granted_immediately) {
-    DetectLocalDeadlock(txn);
-  } else if (mode == AccessMode::kRead) {
-    ctx_->AuditRead(*txn, page);
-  }
-  return result.completion;
-}
-
 std::shared_ptr<sim::Completion<Vote>> TwoPhaseLockingDeferredManager::Prepare(
     const txn::TxnPtr& txn, int cohort_index) {
   auto vote = sim::MakeCompletion<Vote>(&ctx_->simulation());
@@ -44,7 +22,7 @@ std::shared_ptr<sim::Completion<Vote>> TwoPhaseLockingDeferredManager::Prepare(
     if (!result.granted_immediately) {
       ++upgrade_waits_;
       pending.push_back(result.completion);
-      DetectLocalDeadlock(txn);
+      OnBlocked(txn, access.page, result);
     }
   }
   if (pending.empty()) {

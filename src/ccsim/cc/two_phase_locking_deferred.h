@@ -21,11 +21,8 @@ namespace ccsim::cc {
 /// compared against the stock algorithms in bench/ext_deferred_writes.
 class TwoPhaseLockingDeferredManager : public TwoPhaseLockingManager {
  public:
-  TwoPhaseLockingDeferredManager(CcContext* ctx, NodeId node);
+  using TwoPhaseLockingManager::TwoPhaseLockingManager;
 
-  std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
-      const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-      AccessMode mode) override;
   /// Upgrades the cohort's write accesses to exclusive locks, in spec
   /// order; commit then installs and releases like the base (by commit
   /// time every written page holds an exclusive lock).
@@ -36,6 +33,15 @@ class TwoPhaseLockingDeferredManager : public TwoPhaseLockingManager {
 
   /// Upgrade-wait process frames live in the simulation's arena (process.h).
   sim::Arena* process_arena() { return ctx_->simulation().arena(); }
+
+ protected:
+  /// Every access locks shared while the cohort executes. (The version
+  /// audit still treats a write as a blind write: the install happens at
+  /// commit under the exclusive lock, so only true reads are audited.)
+  LockMode LockModeFor(AccessMode mode) const override {
+    (void)mode;
+    return LockMode::kShared;
+  }
 
  private:
   sim::Process AwaitUpgrades(

@@ -2,38 +2,20 @@
 
 namespace ccsim::cc {
 
-TwoPhaseLockingTimeoutManager::TwoPhaseLockingTimeoutManager(CcContext* ctx,
-                                                             NodeId node)
-    : TwoPhaseLockingManager(ctx, node),
-      timeout_sec_(ctx->config().locking.timeout_sec) {}
-
-std::shared_ptr<sim::Completion<AccessOutcome>>
-TwoPhaseLockingTimeoutManager::RequestAccess(const txn::TxnPtr& txn,
-                                             int cohort_index,
-                                             const PageRef& page,
-                                             AccessMode mode) {
-  (void)cohort_index;
-  LockMode lock_mode =
-      mode == AccessMode::kWrite ? LockMode::kExclusive : LockMode::kShared;
-  auto result = lock_table_.Request(txn, page, lock_mode);
-  if (result.granted_immediately) {
-    if (mode == AccessMode::kRead) ctx_->AuditRead(*txn, page);
-    return result.completion;
-  }
-
-  // Arm the timeout. If the request is still pending when it fires, cancel
-  // it: the completion delivers kAborted to the cohort, which informs the
+void TwoPhaseLockingTimeoutManager::OnBlocked(
+    const txn::TxnPtr& txn, const PageRef& page,
+    const LockTable::RequestResult& blocked) {
+  // If the request is still pending when the timeout fires, cancel it: the
+  // completion delivers kAborted to the cohort, which informs the
   // coordinator. If the request was granted (or the transaction aborted for
   // another reason) in the meantime, CancelRequest finds nothing. The
   // completion is held by the timer closure, so its lifetime is safe.
-  auto completion = result.completion;
-  TxnId id = txn->id();
   // ccsim-analyze: coro-ok(the CC service is owned by System alongside the calendar and is destroyed after it; pending timers never outlive this)
-  ctx_->simulation().After(timeout_sec_, [this, id, page, completion] {
+  ctx_->simulation().After(timeout_sec_, [this, id = txn->id(), page,
+                                          completion = blocked.completion] {
     if (completion->done()) return;  // granted or aborted already
     if (lock_table_.CancelRequest(id, page)) ++timeouts_;
   });
-  return result.completion;
 }
 
 }  // namespace ccsim::cc

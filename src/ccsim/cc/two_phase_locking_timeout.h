@@ -1,7 +1,7 @@
 #ifndef CCSIM_CC_TWO_PHASE_LOCKING_TIMEOUT_H_
 #define CCSIM_CC_TWO_PHASE_LOCKING_TIMEOUT_H_
 
-#include <memory>
+#include <cstdint>
 
 #include "ccsim/cc/two_phase_locking.h"
 
@@ -17,19 +17,20 @@ namespace ccsim::cc {
 /// merely queued; long timeouts let deadlocked transactions clog the system.
 class TwoPhaseLockingTimeoutManager : public TwoPhaseLockingManager {
  public:
-  TwoPhaseLockingTimeoutManager(CcContext* ctx, NodeId node);
-
-  std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
-      const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-      AccessMode mode) override;
+  using TwoPhaseLockingManager::TwoPhaseLockingManager;
 
   /// Timeouts never consult waits-for information.
   std::vector<WaitEdge> LocalWaitsForEdges() const override { return {}; }
 
   std::uint64_t timeouts_fired() const { return timeouts_; }
 
+ protected:
+  /// Arms the request's timeout instead of detecting deadlocks.
+  void OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                 const LockTable::RequestResult& blocked) override;
+
  private:
-  double timeout_sec_;
+  double timeout_sec_ = ctx_->config().locking.timeout_sec;
   std::uint64_t timeouts_ = 0;
 };
 

@@ -4,34 +4,20 @@
 
 namespace ccsim::cc {
 
-WaitDieManager::WaitDieManager(CcContext* ctx, NodeId node)
-    : TwoPhaseLockingManager(ctx, node) {}
-
-std::shared_ptr<sim::Completion<AccessOutcome>> WaitDieManager::RequestAccess(
-    const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-    AccessMode mode) {
-  (void)cohort_index;
-  LockMode lock_mode =
-      mode == AccessMode::kWrite ? LockMode::kExclusive : LockMode::kShared;
-  auto result = lock_table_.Request(txn, page, lock_mode);
-  if (result.granted_immediately) {
-    if (mode == AccessMode::kRead) ctx_->AuditRead(*txn, page);
-    return result.completion;
-  }
-
-  // Blocked: the requester may wait only if it is older than every
-  // transaction it would wait for; otherwise it dies on the spot. The death
-  // is delivered through the request's own completion (kAborted), and the
+void WaitDieManager::OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                               const LockTable::RequestResult& blocked) {
+  // The requester may wait only if it is older than every transaction it
+  // would wait for; otherwise it dies on the spot. The death is delivered
+  // through the request's own completion (kAborted, by the cancel), and the
   // cohort informs the coordinator like any self-detected rejection.
-  for (const auto& blocker : result.blockers) {
+  for (const auto& blocker : blocked.blockers) {
     if (blocker->initial_ts() < txn->initial_ts()) {
       ++deaths_;
       bool cancelled = lock_table_.CancelRequest(txn->id(), page);
       CCSIM_CHECK_MSG(cancelled, "dying request not found in queue");
-      return result.completion;  // completed with kAborted by the cancel
+      return;
     }
   }
-  return result.completion;
 }
 
 }  // namespace ccsim::cc

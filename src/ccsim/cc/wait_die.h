@@ -1,7 +1,7 @@
 #ifndef CCSIM_CC_WAIT_DIE_H_
 #define CCSIM_CC_WAIT_DIE_H_
 
-#include <memory>
+#include <cstdint>
 
 #include "ccsim/cc/two_phase_locking.h"
 
@@ -19,13 +19,15 @@ namespace ccsim::cc {
 /// transaction eventually becomes the oldest and cannot die forever.
 class WaitDieManager : public TwoPhaseLockingManager {
  public:
-  WaitDieManager(CcContext* ctx, NodeId node);
-
-  std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
-      const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-      AccessMode mode) override;
+  using TwoPhaseLockingManager::TwoPhaseLockingManager;
 
   std::uint64_t deaths() const { return deaths_; }
+
+ protected:
+  /// Cancels the request (the requester dies) if it waits for an older
+  /// transaction.
+  void OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                 const LockTable::RequestResult& blocked) override;
 
  private:
   std::uint64_t deaths_ = 0;

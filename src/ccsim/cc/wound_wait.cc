@@ -2,28 +2,15 @@
 
 namespace ccsim::cc {
 
-WoundWaitManager::WoundWaitManager(CcContext* ctx, NodeId node)
-    : TwoPhaseLockingManager(ctx, node) {}
-
-std::shared_ptr<sim::Completion<AccessOutcome>> WoundWaitManager::RequestAccess(
-    const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-    AccessMode mode) {
-  (void)cohort_index;
-  LockMode lock_mode =
-      mode == AccessMode::kWrite ? LockMode::kExclusive : LockMode::kShared;
-  auto result = lock_table_.Request(txn, page, lock_mode);
-  if (result.granted_immediately) {
-    if (mode == AccessMode::kRead) ctx_->AuditRead(*txn, page);
-    return result.completion;
-  }
-
-  // Blocked: wound every younger transaction this request waits for. The
-  // requester waits either way; wounded transactions release their locks
-  // when their abort reaches this node. Wounds against transactions already
-  // in the second commit phase would be ignored by the coordinator anyway;
-  // checking here models the cohort-local "already prepared" short-circuit
-  // and avoids pointless messages.
-  for (const auto& blocker : result.blockers) {
+void WoundWaitManager::OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                                 const LockTable::RequestResult& blocked) {
+  (void)page;
+  // The requester waits either way; wounded transactions release their
+  // locks when their abort reaches this node. Wounds against transactions
+  // already in the second commit phase would be ignored by the coordinator
+  // anyway; checking here models the cohort-local "already prepared"
+  // short-circuit and avoids pointless messages.
+  for (const auto& blocker : blocked.blockers) {
     if (txn->initial_ts() < blocker->initial_ts()) {
       if (blocker->phase() == txn::TxnPhase::kCommitting ||
           blocker->phase() == txn::TxnPhase::kCommitted) {
@@ -34,7 +21,6 @@ std::shared_ptr<sim::Completion<AccessOutcome>> WoundWaitManager::RequestAccess(
                          txn::AbortReason::kWound);
     }
   }
-  return result.completion;
 }
 
 }  // namespace ccsim::cc

@@ -1,7 +1,7 @@
 #ifndef CCSIM_CC_WOUND_WAIT_H_
 #define CCSIM_CC_WOUND_WAIT_H_
 
-#include <memory>
+#include <cstdint>
 
 #include "ccsim/cc/two_phase_locking.h"
 
@@ -18,13 +18,14 @@ namespace ccsim::cc {
 /// needed: every lasting wait is young-waits-for-old.
 class WoundWaitManager : public TwoPhaseLockingManager {
  public:
-  WoundWaitManager(CcContext* ctx, NodeId node);
-
-  std::shared_ptr<sim::Completion<AccessOutcome>> RequestAccess(
-      const txn::TxnPtr& txn, int cohort_index, const PageRef& page,
-      AccessMode mode) override;
+  using TwoPhaseLockingManager::TwoPhaseLockingManager;
 
   std::uint64_t wounds_issued() const { return wounds_; }
+
+ protected:
+  /// Wounds every younger transaction the request waits for.
+  void OnBlocked(const txn::TxnPtr& txn, const PageRef& page,
+                 const LockTable::RequestResult& blocked) override;
 
  private:
   std::uint64_t wounds_ = 0;

@@ -33,6 +33,11 @@ struct PageRef {
             << 32) |
            static_cast<std::uint32_t>(page);
   }
+  /// The page a Key() names.
+  static PageRef FromKey(std::uint64_t key) {
+    return PageRef{static_cast<FileId>(key >> 32),
+                   static_cast<int>(key & 0xffffffffu)};
+  }
 };
 
 struct PageRefHash {

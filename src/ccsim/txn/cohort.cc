@@ -66,7 +66,7 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
         AbortReason reason = SelfAbortReason();
         s_.network->Send(node, kHostNode, net::MsgTag::kCohortAborted,
                          [this, txn, attempt, reason] {
-                           coord_->OnCohortAborted(txn, attempt, reason);
+                           coord_->OnAbortRequest(txn, attempt, reason);
                          });
       }
       co_return;
@@ -109,8 +109,8 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
       s_.cc_at(node)->AbortCohort(txn, cohort_index);
       s_.network->Send(node, kHostNode, net::MsgTag::kCohortAborted,
                        [this, txn, attempt] {
-                         coord_->OnCohortAborted(txn, attempt,
-                                                 AbortReason::kCommTimeout);
+                         coord_->OnAbortRequest(txn, attempt,
+                                                AbortReason::kCommTimeout);
                        });
     });
   }
@@ -158,7 +158,7 @@ void CohortService::HandleCommit(const TxnPtr& txn, int attempt,
   }
   s_.network->Send(node, kHostNode, net::MsgTag::kAck,
                    [this, txn, attempt, cohort_index] {
-                     coord_->OnCommitAck(txn, attempt, cohort_index);
+                     coord_->OnAck(txn, attempt, cohort_index);
                    });
 }
 
@@ -186,7 +186,7 @@ void CohortService::HandleAbort(const TxnPtr& txn, int attempt,
   // first ack was dropped, or a duplicate after a unilateral cohort abort.
   s_.network->Send(node, kHostNode, net::MsgTag::kAck,
                    [this, txn, attempt, cohort_index] {
-                     coord_->OnAbortAck(txn, attempt, cohort_index);
+                     coord_->OnAck(txn, attempt, cohort_index);
                    });
 }
 

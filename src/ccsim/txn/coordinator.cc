@@ -116,55 +116,77 @@ void CoordinatorService::OnVote(const TxnPtr& txn, int attempt,
   }
   if (txn->votes_received == txn->num_cohorts()) {
     txn->set_phase(TxnPhase::kCommitting);
-    SendCommits(txn);
+    SendDecision(txn);
   } else {
     ArmPhaseTimer(txn);
   }
 }
 
-void CoordinatorService::SendCommits(const TxnPtr& txn) {
+void CoordinatorService::SendDecision(const TxnPtr& txn) {
+  const TxnPhase decision = txn->phase();
+  const bool commit = decision == TxnPhase::kCommitting;
   int attempt = txn->attempt();
   for (int i = 0; i < txn->num_cohorts(); ++i) {
-    if (txn->cohort(i).ack_counted) continue;  // resend pass: already done
+    CohortRuntime& c = txn->cohort(i);
+    // Only cohorts loaded this attempt take part (at commit, every cohort
+    // is); a resend pass skips those whose ack is already counted.
+    if (!c.load_sent || c.ack_counted) continue;
     NodeId node = txn->cohort_spec(i).node;
     if (!NodeUp(node)) {
       // The cohort's node is down: presume its ack (the decision is durable
-      // at the host; the node re-converges on recovery) so the protocol
+      // at the host, and the crash drained the cohort's state) so the round
       // terminates instead of waiting for a message that cannot arrive.
-      txn->cohort(i).ack_counted = true;
-      ++txn->commit_acks;
+      c.ack_counted = true;
+      ++txn->acks;
       continue;
     }
-    s_.network->Send(kHostNode, node, net::MsgTag::kCommit,
-                     [this, txn, attempt, i] {
-                       cohorts_->HandleCommit(txn, attempt, i);
+    s_.network->Send(kHostNode, node,
+                     commit ? net::MsgTag::kCommit : net::MsgTag::kAbort,
+                     [this, txn, attempt, i, commit] {
+                       if (commit) {
+                         cohorts_->HandleCommit(txn, attempt, i);
+                       } else {
+                         cohorts_->HandleAbort(txn, attempt, i);
+                       }
                      });
   }
-  // Zero-cost messages deliver synchronously, so the acks (and the finalize)
-  // may already have happened inside the loop above.
-  if (txn->phase() != TxnPhase::kCommitting) return;
-  if (txn->commit_acks == txn->num_cohorts()) {
-    FinalizeCommit(txn);
+  // Zero-cost messages deliver synchronously, so the acks (and the end of
+  // the round) may already have happened inside the loop above.
+  if (txn->phase() != decision) return;
+  if (txn->acks == txn->loads_sent) {
+    FinishDecision(txn);
     return;
   }
   ArmPhaseTimer(txn);
 }
 
-void CoordinatorService::OnCommitAck(const TxnPtr& txn, int attempt,
-                                     int cohort_index) {
-  // Fault-free, a stale or out-of-phase ack is impossible (this used to be a
-  // CCSIM_CHECK); with resends and forced terminations a duplicate or late
-  // ack is legitimate protocol traffic - ignore it.
+void CoordinatorService::OnAck(const TxnPtr& txn, int attempt,
+                               int cohort_index) {
+  // Fault-free, a stale or out-of-phase ack is impossible; with resends and
+  // forced terminations a duplicate or late ack is legitimate protocol
+  // traffic - ignore it.
   if (txn->IsStaleAttempt(attempt)) return;
-  if (txn->phase() != TxnPhase::kCommitting) return;
+  if (txn->phase() != TxnPhase::kCommitting &&
+      txn->phase() != TxnPhase::kAborting) {
+    return;
+  }
   CohortRuntime& c = txn->cohort(cohort_index);
   if (c.ack_counted) return;
   c.ack_counted = true;
-  ++txn->commit_acks;
-  if (txn->commit_acks == txn->num_cohorts()) {
-    FinalizeCommit(txn);
+  ++txn->acks;
+  if (txn->acks == txn->loads_sent) {
+    FinishDecision(txn);
   } else {
     ArmPhaseTimer(txn);
+  }
+}
+
+void CoordinatorService::FinishDecision(const TxnPtr& txn) {
+  if (txn->phase() == TxnPhase::kCommitting) {
+    FinalizeCommit(txn);
+  } else {
+    DisarmPhaseTimer(txn);
+    ScheduleRestart(txn);
   }
 }
 
@@ -184,59 +206,7 @@ void CoordinatorService::BeginAbort(const TxnPtr& txn, AbortReason reason) {
   ++txn->total_aborts;
   ++aborts_;
   ++aborts_by_reason_[static_cast<std::size_t>(reason)];
-  if (txn->loads_sent == 0) {
-    // No cohort was ever loaded this attempt; nothing to clean up remotely.
-    DisarmPhaseTimer(txn);
-    ScheduleRestart(txn);
-    return;
-  }
-  SendAborts(txn);
-}
-
-void CoordinatorService::SendAborts(const TxnPtr& txn) {
-  int attempt = txn->attempt();
-  for (int i = 0; i < txn->num_cohorts(); ++i) {
-    CohortRuntime& c = txn->cohort(i);
-    if (!c.load_sent || c.ack_counted) continue;
-    NodeId node = txn->cohort_spec(i).node;
-    if (!NodeUp(node)) {
-      // Down node: its cohort state was drained by the crash handling (or
-      // vanishes with the node); presume the ack.
-      c.ack_counted = true;
-      ++txn->abort_acks;
-      continue;
-    }
-    s_.network->Send(kHostNode, node, net::MsgTag::kAbort,
-                     [this, txn, attempt, i] {
-                       cohorts_->HandleAbort(txn, attempt, i);
-                     });
-  }
-  // As in SendCommits: zero-cost messages may have completed the whole
-  // abort round (and scheduled the restart) synchronously.
-  if (txn->phase() != TxnPhase::kAborting) return;
-  if (txn->abort_acks == txn->loads_sent) {
-    DisarmPhaseTimer(txn);
-    ScheduleRestart(txn);
-    return;
-  }
-  ArmPhaseTimer(txn);
-}
-
-void CoordinatorService::OnAbortAck(const TxnPtr& txn, int attempt,
-                                    int cohort_index) {
-  // Duplicates and late acks are legitimate under faults; see OnCommitAck.
-  if (txn->IsStaleAttempt(attempt)) return;
-  if (txn->phase() != TxnPhase::kAborting) return;
-  CohortRuntime& c = txn->cohort(cohort_index);
-  if (c.ack_counted) return;
-  c.ack_counted = true;
-  ++txn->abort_acks;
-  if (txn->abort_acks == txn->loads_sent) {
-    DisarmPhaseTimer(txn);
-    ScheduleRestart(txn);
-  } else {
-    ArmPhaseTimer(txn);
-  }
+  SendDecision(txn);
 }
 
 void CoordinatorService::ScheduleRestart(const TxnPtr& txn) {
@@ -304,11 +274,6 @@ void CoordinatorService::OnAbortRequest(const TxnPtr& txn, int attempt,
   BeginAbort(txn, reason);
 }
 
-void CoordinatorService::OnCohortAborted(const TxnPtr& txn, int attempt,
-                                         AbortReason reason) {
-  OnAbortRequest(txn, attempt, reason);
-}
-
 // --- fault hardening ------------------------------------------------------
 
 void CoordinatorService::ArmPhaseTimer(const TxnPtr& txn) {
@@ -341,17 +306,10 @@ void CoordinatorService::OnPhaseTimeout(const TxnPtr& txn, int attempt) {
       BeginAbort(txn, AbortReason::kCommTimeout);
       break;
     case TxnPhase::kCommitting:
-      if (txn->decision_resends < f.max_decision_resends) {
-        ++txn->decision_resends;
-        SendCommits(txn);  // resends to un-acked cohorts only; rearms
-      } else {
-        ForceTerminate(txn);
-      }
-      break;
     case TxnPhase::kAborting:
       if (txn->decision_resends < f.max_decision_resends) {
         ++txn->decision_resends;
-        SendAborts(txn);
+        SendDecision(txn);  // resends to un-acked cohorts only; rearms
       } else {
         ForceTerminate(txn);
       }
@@ -369,8 +327,7 @@ void CoordinatorService::ForceTerminate(const TxnPtr& txn) {
   bool committing = txn->phase() == TxnPhase::kCommitting;
   for (int i = 0; i < txn->num_cohorts(); ++i) {
     CohortRuntime& c = txn->cohort(i);
-    if (c.ack_counted) continue;
-    if (!committing && !c.load_sent) continue;
+    if (!c.load_sent || c.ack_counted) continue;
     NodeId node = txn->cohort_spec(i).node;
     if (!c.decision_handled && NodeUp(node)) {
       // The cohort is reachable but its acks never made it through the
@@ -386,17 +343,9 @@ void CoordinatorService::ForceTerminate(const TxnPtr& txn) {
       }
     }
     c.ack_counted = true;
-    if (committing) {
-      ++txn->commit_acks;
-    } else {
-      ++txn->abort_acks;
-    }
+    ++txn->acks;
   }
-  if (committing) {
-    FinalizeCommit(txn);
-  } else {
-    ScheduleRestart(txn);
-  }
+  FinishDecision(txn);
 }
 
 void CoordinatorService::OnNodeCrash(NodeId node) {
@@ -436,19 +385,11 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
       case TxnPhase::kPreparing:
         BeginAbort(txn, AbortReason::kNodeCrash);
         break;
-      case TxnPhase::kCommitting: {
-        // Past the commit point the decision stands; the crashed cohort's
-        // ack is presumed (recovery re-converges it).
-        for (int i = 0; i < txn->num_cohorts(); ++i) {
-          CohortRuntime& c = txn->cohort(i);
-          if (txn->cohort_spec(i).node != node || c.ack_counted) continue;
-          c.ack_counted = true;
-          ++txn->commit_acks;
-        }
-        if (txn->commit_acks == txn->num_cohorts()) FinalizeCommit(txn);
-        break;
-      }
-      case TxnPhase::kAborting: {
+      case TxnPhase::kCommitting:
+      case TxnPhase::kAborting:
+        // The decision stands (past the commit point, or the abort already
+        // under way): the crashed node's acks are presumed (recovery
+        // re-converges it), which may complete the round.
         for (int i = 0; i < txn->num_cohorts(); ++i) {
           CohortRuntime& c = txn->cohort(i);
           if (txn->cohort_spec(i).node != node || !c.load_sent ||
@@ -456,14 +397,10 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
             continue;
           }
           c.ack_counted = true;
-          ++txn->abort_acks;
+          ++txn->acks;
         }
-        if (txn->abort_acks == txn->loads_sent) {
-          DisarmPhaseTimer(txn);
-          ScheduleRestart(txn);
-        }
+        if (txn->acks == txn->loads_sent) FinishDecision(txn);
         break;
-      }
       case TxnPhase::kRestartWait:
       case TxnPhase::kCommitted:
       case TxnPhase::kAbandoned:

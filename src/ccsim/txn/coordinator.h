@@ -39,12 +39,11 @@ class CoordinatorService {
   // Message-driven entry points (invoked at the host on delivery).
   void OnCohortReady(const TxnPtr& txn, int attempt, int cohort_index);
   void OnVote(const TxnPtr& txn, int attempt, int cohort_index, cc::Vote vote);
-  void OnCommitAck(const TxnPtr& txn, int attempt, int cohort_index);
-  void OnAbortAck(const TxnPtr& txn, int attempt, int cohort_index);
-  /// Abort raised by a CC manager somewhere in the machine.
+  /// A cohort's acknowledgement of the COMMIT or ABORT decision.
+  void OnAck(const TxnPtr& txn, int attempt, int cohort_index);
+  /// Abort raised by a CC manager somewhere in the machine, or by the
+  /// transaction's own cohort (self-detected rejection).
   void OnAbortRequest(const TxnPtr& txn, int attempt, AbortReason reason);
-  /// Abort raised by the transaction's own cohort (self-detected rejection).
-  void OnCohortAborted(const TxnPtr& txn, int attempt, AbortReason reason);
 
   /// Crash notification from the fault layer: every live transaction with a
   /// cohort at `node` is drained there (locks released, coroutine silenced)
@@ -82,11 +81,14 @@ class CoordinatorService {
   sim::Process StartAttemptProcess(TxnPtr txn, bool first_attempt);
   void SendLoad(const TxnPtr& txn, int cohort_index);
   void SendPrepares(const TxnPtr& txn);
-  /// Sends COMMIT to every cohort whose ack is outstanding (first pass and
-  /// decision resends); acks from down nodes are presumed.
-  void SendCommits(const TxnPtr& txn);
-  /// Same for ABORT, to the cohorts that were loaded this attempt.
-  void SendAborts(const TxnPtr& txn);
+  /// Sends the attempt's decision - COMMIT in kCommitting, ABORT in
+  /// kAborting - to every cohort loaded this attempt whose ack is
+  /// outstanding (first pass and decision resends); acks from down nodes
+  /// are presumed. The round ends when every loaded cohort has acked.
+  void SendDecision(const TxnPtr& txn);
+  /// Ends a decision round whose acks are all in: commits, or disarms the
+  /// phase timer and schedules the restart.
+  void FinishDecision(const TxnPtr& txn);
   void BeginAbort(const TxnPtr& txn, AbortReason reason);
   void FinalizeCommit(const TxnPtr& txn);
   void ScheduleRestart(const TxnPtr& txn);

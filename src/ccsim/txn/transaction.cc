@@ -94,8 +94,7 @@ void Transaction::BeginAttempt(sim::SimTime attempt_time) {
   loads_sent = 0;
   ready_count = 0;
   votes_received = 0;
-  commit_acks = 0;
-  abort_acks = 0;
+  acks = 0;
   phase_timer = 0;
   decision_resends = 0;
   exec_start_time = attempt_time;

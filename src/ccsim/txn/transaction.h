@@ -141,8 +141,8 @@ class Transaction {
   int loads_sent = 0;
   int ready_count = 0;
   int votes_received = 0;
-  int commit_acks = 0;
-  int abort_acks = 0;
+  /// Acks of the attempt's decision (COMMIT or ABORT), received or presumed.
+  int acks = 0;
 
   /// Total aborted attempts over the transaction's lifetime.
   int total_aborts = 0;

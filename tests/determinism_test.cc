@@ -190,39 +190,64 @@ TEST(Determinism, DigestsMatchCommittedGoldens) {
 #endif
 }
 
+// PathDigest() plus the crash counters, for the variant that crashes nodes.
+std::uint64_t CrashDigest(const RunResult& r) {
+  MetricDigest d;
+  d.Add(PathDigest(r));
+  d.Add(r.node_crashes);
+  d.Add(r.availability);
+  d.Add(r.aborts_node_crash);
+  return d.value();
+}
+
 // Golden digests for the delivery and fault paths the algorithm goldens
 // above never reach: the two non-switch network models, the batching fast
-// path, and message drops with disk errors (each retransmission loop and the
-// disk's fault-extended service), batching off and on. Same platform rule
-// and refresh procedure as DigestsMatchCommittedGoldens.
+// path, message drops with disk errors (each retransmission loop and the
+// disk's fault-extended service), batching off and on, and node crashes with
+// messages lost for good (the 2PC crash drain, presumed acks, decision
+// resends and forced terminations of both COMMIT and ABORT rounds). Same
+// platform rule and refresh procedure as DigestsMatchCommittedGoldens.
 TEST(Determinism, NetworkAndFaultPathDigestsMatchCommittedGoldens) {
 #if defined(__GLIBCXX__) && defined(__x86_64__)
+  enum class Faults { kNone, kDropsAndDiskErrors, kCrashesAndLosses };
   struct Golden {
     const char* name;
     config::NetModel model;
     bool batching;
-    bool faults;
+    Faults faults;
     std::uint64_t digest;
   };
   constexpr Golden kGoldens[] = {
-      {"bandwidth", config::NetModel::kBandwidth, false, false,
+      {"bandwidth", config::NetModel::kBandwidth, false, Faults::kNone,
        0x02d6144fbbfc61adull},
-      {"rdma", config::NetModel::kRdma, false, false,
+      {"rdma", config::NetModel::kRdma, false, Faults::kNone,
        0xae97e2e90503bbf3ull},
-      {"batching", config::NetModel::kSwitch, true, false,
+      {"batching", config::NetModel::kSwitch, true, Faults::kNone,
        0xd14eecec435fe9d4ull},
-      {"faults", config::NetModel::kSwitch, false, true,
+      {"faults", config::NetModel::kSwitch, false, Faults::kDropsAndDiskErrors,
        0x5bdf43d70b801ccbull},
-      {"faults_batching", config::NetModel::kSwitch, true, true,
-       0x6b5803d3a7cfe2d0ull},
+      {"faults_batching", config::NetModel::kSwitch, true,
+       Faults::kDropsAndDiskErrors, 0x6b5803d3a7cfe2d0ull},
+      {"crash_loss", config::NetModel::kSwitch, false,
+       Faults::kCrashesAndLosses, 0x6b32e6dc73d433daull},
   };
   for (const Golden& g : kGoldens) {
     auto cfg = ContendedConfig(config::CcAlgorithm::kTwoPhaseLocking);
     cfg.net.model = g.model;
     cfg.net.batching = g.batching;
-    if (g.faults) {
+    const bool crashes = g.faults == Faults::kCrashesAndLosses;
+    if (g.faults == Faults::kDropsAndDiskErrors) {
       cfg.faults.msg_drop_prob = 0.05;
       cfg.faults.disk_error_prob = 0.05;
+    } else if (crashes) {
+      // No retransmission and one decision resend, so drops become losses
+      // and unanswered decisions end in forced terminations.
+      cfg.faults.node_mttf_sec = 10;
+      cfg.faults.node_mttr_sec = 2;
+      cfg.faults.msg_drop_prob = 0.05;
+      cfg.faults.max_msg_retries = 0;
+      cfg.faults.msg_timeout_sec = 1;
+      cfg.faults.max_decision_resends = 1;
     }
     RunResult r = RunSimulation(cfg);
     // Each variant must actually take its path.
@@ -231,8 +256,11 @@ TEST(Determinism, NetworkAndFaultPathDigestsMatchCommittedGoldens) {
     EXPECT_EQ(r.net_rdma_ops > 0, g.model == config::NetModel::kRdma)
         << g.name;
     EXPECT_EQ(r.net_msgs_batched > 0, g.batching) << g.name;
-    EXPECT_EQ(r.messages_dropped > 0, g.faults) << g.name;
-    EXPECT_EQ(PathDigest(r), g.digest) << g.name;
+    EXPECT_EQ(r.messages_dropped > 0, g.faults != Faults::kNone) << g.name;
+    EXPECT_EQ(r.node_crashes > 0, crashes) << g.name;
+    EXPECT_EQ(r.messages_lost > 0, crashes) << g.name;
+    EXPECT_EQ(r.forced_terminations > 0, crashes) << g.name;
+    EXPECT_EQ(crashes ? CrashDigest(r) : PathDigest(r), g.digest) << g.name;
   }
 #else
   GTEST_SKIP() << "golden digests are pinned for x86-64 libstdc++ only";

@@ -118,8 +118,9 @@ TEST(ResultCache, CommittedEntriesAreCurrentAndRoundTripByteForByte) {
   // Every committed entry must be at the current format and re-serialize to
   // its exact bytes: a change to the field list or to the value formatting
   // fails here until the cache is regenerated (EXPERIMENTS.md).
-  const std::string prefix =
-      "v" + std::to_string(ResultCache::kFormatVersion) + "_";
+  std::string prefix = "v";
+  prefix += std::to_string(ResultCache::kFormatVersion);
+  prefix += "_";
   int entries = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::filesystem::path(CCSIM_SOURCE_DIR) / "ccsim_bench_cache")) {
