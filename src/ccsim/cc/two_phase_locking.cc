@@ -4,16 +4,34 @@
 #include "ccsim/sim/check.h"
 
 namespace ccsim::cc {
+namespace {
+
+// Whether `t`'s cohort at `node` reads `page` without updating it.
+bool ReadsWithoutUpdate(const txn::Transaction& t, NodeId node,
+                        const PageRef& page) {
+  for (const workload::CohortSpec& spec : t.spec().cohorts) {
+    if (spec.node != node) continue;
+    for (const workload::PageAccess& access : spec.accesses) {
+      if (access.page == page) return !access.is_write;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 TwoPhaseLockingManager::TwoPhaseLockingManager(CcContext* ctx, NodeId node)
     : CcManager(ctx, node), lock_table_(&ctx->simulation()) {
   lock_table_.set_allow_queue_jump(ctx->config().locking.queue_jump);
   // Audit the read version at the exact grant time, including grants that
   // happen after a wait (exclusive locks block installs, so the version a
-  // shared lock sees at grant time is the one the cohort reads).
+  // shared lock sees at grant time is the one the cohort reads). 2PL-DW
+  // locks updates shared until prepare, so only true reads are audited.
   lock_table_.set_on_delayed_grant(
       [this](const txn::TxnPtr& t, const PageRef& page, LockMode mode) {
-        if (mode == LockMode::kShared) ctx_->AuditRead(*t, page);
+        if (mode == LockMode::kShared && ReadsWithoutUpdate(*t, node_, page)) {
+          ctx_->AuditRead(*t, page);
+        }
       });
 }
 

@@ -142,12 +142,6 @@ class FlatHashMap {
       if (occupied_[i]) fn(slots_[i].key, slots_[i].value);
     }
   }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      if (occupied_[i]) fn(slots_[i].key, slots_[i].value);
-    }
-  }
 
  private:
   struct Slot {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 namespace ccsim::config {
 
@@ -36,7 +35,6 @@ class Hasher {
 }  // namespace
 
 std::string SystemConfig::Validate() const {
-  std::ostringstream err;
   if (machine.num_proc_nodes < 1) return "num_proc_nodes must be >= 1";
   if (machine.host_mips <= 0 || machine.node_mips <= 0)
     return "CPU rates must be positive";

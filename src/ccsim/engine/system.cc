@@ -8,7 +8,6 @@
 #include "ccsim/db/placement.h"
 #include "ccsim/sim/check.h"
 #include "ccsim/sim/stream_ids.h"
-#include "ccsim/txn/services.h"
 
 namespace ccsim::engine {
 
@@ -42,57 +41,14 @@ System::System(const config::SystemConfig& config)
   network_ = std::make_unique<net::Network>(
       &sim_, std::move(cpus), config_.costs.inst_per_msg, config_.net);
 
-  txn::Services services;
-  services.sim = &sim_;
-  services.network = network_.get();
-  services.config = &config_;
-  services.cc_at = [this](NodeId id) { return cc_at(id); };
-  services.cpu_at = [this](NodeId id) {
-    return &nodes_[static_cast<std::size_t>(id)].resources->cpu();
-  };
-  services.disk_access = [this](NodeId id, resource::DiskOp op) {
-    return nodes_[static_cast<std::size_t>(id)].resources->DiskAccess(op);
-  };
-  services.node_rng = [this](NodeId id) {
-    return node_rngs_[static_cast<std::size_t>(id)].get();
-  };
-  services.node_up = [this](NodeId id) { return NodeUp(id); };
-  services.on_commit = [this](txn::Transaction& t) {
-    sim_.NoteProgress();  // feeds the watchdog's stall clock
-    double rt = sim_.Now() - t.origin_time();
-    rt_alltime_.Record(rt);
-    rt_measured_.Record(rt);
-    rt_batches_.Record(rt);
-    rt_histogram_.Record(rt);
-    // Phase decomposition of the same response time (see RunResult): the
-    // stamps are read at transitions that happen anyway, so this adds no
-    // events and cannot shift the schedule.
-    phase_restart_wasted_.Record(t.attempt_start_time() - t.origin_time());
-    phase_queue_.Record(t.exec_start_time - t.attempt_start_time());
-    phase_exec_.Record(t.prepare_start_time - t.exec_start_time);
-    phase_commit_wait_.Record(sim_.Now() - t.prepare_start_time);
-    if (config_.overload.txn_deadline_sec > 0.0 &&
-        rt <= config_.overload.txn_deadline_sec) {
-      ++commits_in_deadline_measured_;
-    }
-    if (config_.run.enable_audit) {
-      commit_log_.push_back(CommittedTxn{t.id(), sim_.Now(), t.audit});
-    }
-  };
-  services.restart_delay = [this] { return RestartDelay(); };
   if (config_.workload.fake_restarts) {
-    services.regenerate_spec =
-        [this](const workload::TransactionSpec& old_spec) {
-          return source_->generator().Generate(old_spec.terminal,
-                                               *restart_rng_);
-        };
     restart_rng_ = std::make_unique<sim::RandomStream>(
         config_.run.seed, sim::stream_ids::kFakeRestartStream);
   }
 
-  cohort_service_ = std::make_unique<txn::CohortService>(services);
-  coordinator_ = std::make_unique<txn::CoordinatorService>(
-      services, cohort_service_.get());
+  cohort_service_ = std::make_unique<txn::CohortService>(this);
+  coordinator_ =
+      std::make_unique<txn::CoordinatorService>(this, cohort_service_.get());
 
   // The source hands transactions to the coordinator. The open system
   // (overload extension) only changes that hand-off: the source becomes one
@@ -131,11 +87,7 @@ System::System(const config::SystemConfig& config)
     // The fault layer exists only when some rate is nonzero; otherwise no
     // injector, no network policy, no timers - the event stream (and thus
     // every determinism digest) is identical to the failure-free machine.
-    fault_injector_ = std::make_unique<fault::FaultInjector>(
-        &sim_, config_.faults, config_.run.seed, config_.machine.num_proc_nodes,
-        fault::FaultInjector::Hooks{
-            [this](NodeId id) { CrashNode(id); },
-            [this](NodeId id) { RecoverNode(id); }});
+    fault_injector_ = std::make_unique<fault::FaultInjector>(this);
     net::Network::FaultPolicy policy;
     if (config_.faults.msg_drop_prob > 0.0) {
       policy.should_drop = [this](NodeId from, NodeId to, net::MsgTag tag) {
@@ -204,6 +156,34 @@ System::System(const config::SystemConfig& config)
 double System::RestartDelay() const {
   return rt_alltime_.count() > 0 ? rt_alltime_.mean()
                                  : config_.run.initial_rt_estimate_sec;
+}
+
+void System::RecordCommit(txn::Transaction& t) {
+  sim_.NoteProgress();  // feeds the watchdog's stall clock
+  double rt = sim_.Now() - t.origin_time();
+  rt_alltime_.Record(rt);
+  rt_measured_.Record(rt);
+  rt_batches_.Record(rt);
+  rt_histogram_.Record(rt);
+  // Phase decomposition of the same response time (see RunResult): the
+  // stamps are read at transitions that happen anyway, so this adds no
+  // events and cannot shift the schedule.
+  phase_restart_wasted_.Record(t.attempt_start_time() - t.origin_time());
+  phase_queue_.Record(t.exec_start_time - t.attempt_start_time());
+  phase_exec_.Record(t.prepare_start_time - t.exec_start_time);
+  phase_commit_wait_.Record(sim_.Now() - t.prepare_start_time);
+  if (config_.overload.txn_deadline_sec > 0.0 &&
+      rt <= config_.overload.txn_deadline_sec) {
+    ++commits_in_deadline_measured_;
+  }
+  if (config_.run.enable_audit) {
+    commit_log_.push_back(CommittedTxn{t.id(), sim_.Now(), t.audit});
+  }
+}
+
+workload::TransactionSpec System::RegenerateSpec(
+    const workload::TransactionSpec& old_spec) {
+  return source_->generator().Generate(old_spec.terminal, *restart_rng_);
 }
 
 void System::RequestAbort(const txn::TxnPtr& txn, int attempt,

@@ -32,7 +32,7 @@ namespace ccsim::engine {
 /// processing nodes, the network, the per-node CC managers, the transaction
 /// management layer, the workload source, and the metrics plumbing
 /// (Fig. 1 of the paper). Also implements cc::CcContext.
-class System : public cc::CcContext {
+class System final : public cc::CcContext {
  public:
   explicit System(const config::SystemConfig& config);
   ~System() override = default;
@@ -68,12 +68,23 @@ class System : public cc::CcContext {
   resource::ResourceManager& resources(NodeId id) {
     return *nodes_[static_cast<std::size_t>(id)].resources;
   }
+  /// Per-node variate stream (page-processing instruction counts).
+  sim::RandomStream& node_rng(NodeId id) {
+    return *node_rngs_[static_cast<std::size_t>(id)];
+  }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<CommittedTxn>& commit_log() const { return commit_log_; }
   const cc::Snoop* snoop() const { return snoop_.get(); }
 
   /// Current restart delay (one average observed response time).
   double RestartDelay() const;
+  /// Records a committed transaction's response time, its phases and (with
+  /// the audit on) its commit-log entry; the coordinator calls it.
+  void RecordCommit(txn::Transaction& t);
+  /// A fresh access set for a restarting transaction (same terminal, class
+  /// and relation); only under WorkloadParams::fake_restarts.
+  workload::TransactionSpec RegenerateSpec(
+      const workload::TransactionSpec& old_spec);
 
   // --- fault layer --------------------------------------------------------
   /// True while `id` is up (always true without a fault layer; the host is
@@ -88,9 +99,6 @@ class System : public cc::CcContext {
   /// The node returns empty (its in-flight state died with it); restarting
   /// transactions will find it organically.
   void RecoverNode(NodeId id);
-  const fault::FaultInjector* fault_injector() const {
-    return fault_injector_.get();
-  }
 
  private:
   void ResetStatsAtWarmup();

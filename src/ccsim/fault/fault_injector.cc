@@ -1,30 +1,25 @@
 #include "ccsim/fault/fault_injector.h"
 
 #include <cinttypes>
-#include <utility>
 
+#include "ccsim/engine/system.h"
 #include "ccsim/sim/check.h"
+#include "ccsim/sim/stream_ids.h"
 
 namespace ccsim::fault {
 
-FaultInjector::FaultInjector(sim::Simulation* sim,
-                             const config::FaultParams& params,
-                             std::uint64_t master_seed, int num_proc_nodes,
-                             Hooks hooks)
-    : sim_(sim),
-      params_(params),
-      hooks_(std::move(hooks)),
-      num_proc_nodes_(num_proc_nodes),
-      drop_rng_(master_seed, sim::stream_ids::kFaultDropStream),
-      disk_rng_(master_seed, sim::stream_ids::kFaultDiskStream) {
-  CCSIM_CHECK(num_proc_nodes >= 1);
-  if (params_.node_mttf_sec > 0.0) {
-    crash_rngs_.reserve(static_cast<std::size_t>(num_proc_nodes));
-    for (NodeId id = 1; id <= num_proc_nodes; ++id) {
+FaultInjector::FaultInjector(engine::System* system)
+    : system_(*system),
+      drop_rng_(system->config().run.seed, sim::stream_ids::kFaultDropStream),
+      disk_rng_(system->config().run.seed, sim::stream_ids::kFaultDiskStream) {
+  const config::SystemConfig& cfg = system_.config();
+  CCSIM_CHECK(cfg.machine.num_proc_nodes >= 1);
+  if (cfg.faults.node_mttf_sec > 0.0) {
+    crash_rngs_.reserve(static_cast<std::size_t>(cfg.machine.num_proc_nodes));
+    for (NodeId id = 1; id <= cfg.machine.num_proc_nodes; ++id) {
       crash_rngs_.push_back(std::make_unique<sim::RandomStream>(
-          master_seed,
-          sim::stream_ids::kFaultCrashStreamBase +
-              static_cast<std::uint64_t>(id)));
+          cfg.run.seed, sim::stream_ids::kFaultCrashStreamBase +
+                            static_cast<std::uint64_t>(id)));
     }
   }
 }
@@ -32,21 +27,25 @@ FaultInjector::FaultInjector(sim::Simulation* sim,
 void FaultInjector::Start() {
   CCSIM_CHECK_MSG(!started_, "FaultInjector started twice");
   started_ = true;
-  if (params_.node_mttf_sec <= 0.0) return;
-  CCSIM_CHECK(hooks_.crash_node && hooks_.recover_node);
-  for (NodeId id = 1; id <= num_proc_nodes_; ++id) CrashCycle(id);
+  const config::SystemConfig& cfg = system_.config();
+  if (cfg.faults.node_mttf_sec <= 0.0) return;
+  for (NodeId id = 1; id <= cfg.machine.num_proc_nodes; ++id) CrashCycle(id);
 }
+
+sim::Arena* FaultInjector::process_arena() { return system_.sim().arena(); }
 
 sim::Process FaultInjector::CrashCycle(NodeId node) {
   sim::RandomStream& rng = *crash_rngs_[static_cast<std::size_t>(node - 1)];
   // Runs for the life of the simulation; the still-suspended frame is
   // reclaimed by the Simulation at teardown like any other process.
   for (;;) {
-    co_await sim_->Delay(rng.Exponential(params_.node_mttf_sec));
+    co_await system_.sim().Delay(
+        rng.Exponential(system_.config().faults.node_mttf_sec));
     ++crashes_;
-    hooks_.crash_node(node);
-    co_await sim_->Delay(rng.Exponential(params_.node_mttr_sec));
-    hooks_.recover_node(node);
+    system_.CrashNode(node);
+    co_await system_.sim().Delay(
+        rng.Exponential(system_.config().faults.node_mttr_sec));
+    system_.RecoverNode(node);
   }
 }
 
@@ -57,15 +56,18 @@ bool FaultInjector::ShouldDropMessage(NodeId from, NodeId to, net::MsgTag tag) {
       tag == net::MsgTag::kSnoopHandoff) {
     return false;  // control plane; see the header
   }
-  if (!drop_rng_.Bernoulli(params_.msg_drop_prob)) return false;
+  if (!drop_rng_.Bernoulli(system_.config().faults.msg_drop_prob)) {
+    return false;
+  }
   ++drops_;
   return true;
 }
 
 double FaultInjector::DiskErrorDelay() {
-  if (!disk_rng_.Bernoulli(params_.disk_error_prob)) return 0.0;
+  const config::FaultParams& params = system_.config().faults;
+  if (!disk_rng_.Bernoulli(params.disk_error_prob)) return 0.0;
   ++disk_errors_;
-  return params_.disk_error_delay_ms / 1000.0;
+  return params.disk_error_delay_ms / 1000.0;
 }
 
 void FaultInjector::DumpState(std::FILE* out) const {

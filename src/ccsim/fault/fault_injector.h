@@ -3,17 +3,17 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "ccsim/common/types.h"
-#include "ccsim/config/params.h"
 #include "ccsim/net/network.h"
 #include "ccsim/sim/process.h"
 #include "ccsim/sim/random.h"
-#include "ccsim/sim/simulation.h"
-#include "ccsim/sim/stream_ids.h"
+
+namespace ccsim::engine {
+class System;
+}  // namespace ccsim::engine
 
 namespace ccsim::fault {
 
@@ -23,23 +23,16 @@ namespace ccsim::fault {
 /// from dedicated named RNG streams so that the same master seed and the
 /// same FaultParams replay the same fault history regardless of what the
 /// rest of the model does with its own streams. The *effects* (draining a
-/// crashed node, presuming acks, ...) belong to the engine and are reached
-/// through the hooks.
+/// crashed node, presuming acks, ...) belong to the engine: the crash cycle
+/// calls System::CrashNode and System::RecoverNode.
 ///
 /// With all fault rates zero a System never constructs an injector, no
 /// stream is seeded, and no event is scheduled: the simulation is
 /// event-for-event the paper's failure-free machine.
 class FaultInjector {
  public:
-  struct Hooks {
-    /// Applied when a node fails / comes back. The engine updates node
-    /// state, drains in-flight work, and records availability.
-    std::function<void(NodeId)> crash_node;
-    std::function<void(NodeId)> recover_node;
-  };
-
-  FaultInjector(sim::Simulation* sim, const config::FaultParams& params,
-                std::uint64_t master_seed, int num_proc_nodes, Hooks hooks);
+  /// Draws from the system's master seed, FaultParams and node count.
+  explicit FaultInjector(engine::System* system);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -58,24 +51,17 @@ class FaultInjector {
   /// always; disk_error_delay_ms with probability disk_error_prob).
   double DiskErrorDelay();
 
-  std::uint64_t crashes() const { return crashes_; }
-  std::uint64_t drops() const { return drops_; }
-  std::uint64_t disk_errors() const { return disk_errors_; }
-
   /// Diagnostic dump section: per-stream RNG positions and fault counters,
   /// so a divergent fault replay can be localized to a stream.
   void DumpState(std::FILE* out) const;
 
   /// Crash-cycle process frames live in the simulation's arena (process.h).
-  sim::Arena* process_arena() { return sim_->arena(); }
+  sim::Arena* process_arena();
 
  private:
   sim::Process CrashCycle(NodeId node);
 
-  sim::Simulation* sim_;
-  config::FaultParams params_;
-  Hooks hooks_;
-  int num_proc_nodes_;
+  engine::System& system_;
   bool started_ = false;
   std::vector<std::unique_ptr<sim::RandomStream>> crash_rngs_;  // per node
   sim::RandomStream drop_rng_;

@@ -84,8 +84,6 @@ class Cpu {
     return CpuJob(this, seconds, cls);
   }
 
-  double mips() const { return mips_; }
-
   /// Fraction of time the CPU was busy (either class) since the last reset.
   double Utilization() const { return busy_.Mean(sim_->Now()); }
   /// Restarts utilization integration (warmup deletion).

@@ -77,24 +77,6 @@ void LatencyHistogram::Reset() {
   min_ = max_ = 0.0;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  CCSIM_CHECK(min_exp2_ == other.min_exp2_ && max_exp2_ == other.max_exp2_);
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  nonfinite_ += other.nonfinite_;
-}
-
 double LatencyHistogram::bucket_lo(std::size_t i) const {
   int octave = min_exp2_ + static_cast<int>(i / kSubBuckets);
   auto sub = static_cast<double>(i % kSubBuckets);

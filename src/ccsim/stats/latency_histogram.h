@@ -42,11 +42,6 @@ class LatencyHistogram {
   void Record(double x);
   void Reset();
 
-  /// Adds `other`'s samples into this histogram. Both must have identical
-  /// geometry (checked). Merge is associative and commutative, so per-shard
-  /// histograms can be combined in any order with an identical result.
-  void Merge(const LatencyHistogram& other);
-
   /// Finite samples recorded (in-range + underflow + overflow).
   std::uint64_t count() const { return count_; }
   std::uint64_t underflow() const { return underflow_; }

@@ -1,7 +1,5 @@
 #include "ccsim/stats/tally.h"
 
-#include <cmath>
-
 namespace ccsim::stats {
 
 void Tally::Record(double x) {
@@ -29,7 +27,5 @@ double Tally::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double Tally::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace ccsim::stats

@@ -21,7 +21,6 @@ class Tally {
   double mean() const { return count_ ? mean_ : 0.0; }
   /// Unbiased sample variance; 0 with fewer than two observations.
   double variance() const;
-  double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return count_ ? mean_ * static_cast<double>(count_) : 0.0; }

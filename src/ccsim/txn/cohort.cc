@@ -1,7 +1,6 @@
 #include "ccsim/txn/cohort.h"
 
-#include <utility>
-
+#include "ccsim/engine/system.h"
 #include "ccsim/sim/check.h"
 #include "ccsim/txn/coordinator.h"
 
@@ -10,10 +9,12 @@ namespace ccsim::txn {
 using resource::CpuJobClass;
 using resource::DiskOp;
 
-CohortService::CohortService(Services services) : s_(std::move(services)) {}
+CohortService::CohortService(engine::System* system) : system_(*system) {}
+
+sim::Arena* CohortService::process_arena() { return system_.sim().arena(); }
 
 AbortReason CohortService::SelfAbortReason() const {
-  switch (s_.config->algorithm) {
+  switch (system_.config().algorithm) {
     case config::CcAlgorithm::kWaitDie:
       return AbortReason::kDie;
     case config::CcAlgorithm::kTwoPhaseLockingTimeout:
@@ -34,23 +35,23 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
                                       int cohort_index) {
   const workload::CohortSpec& spec = txn->cohort_spec(cohort_index);
   NodeId node = spec.node;
-  resource::Cpu* cpu = s_.cpu_at(node);
-  cc::CcManager* cc = s_.cc_at(node);
-  const auto& cls =
-      s_.config->workload.classes[static_cast<std::size_t>(
-          txn->spec().class_index)];
+  resource::ResourceManager& resources = system_.resources(node);
+  cc::CcManager* cc = system_.cc_at(node);
+  const auto& cls = system_.config().workload.classes[static_cast<std::size_t>(
+      txn->spec().class_index)];
 
   // Process initiation (InstPerStartup) at the cohort's node.
-  co_await cpu->Execute(s_.config->costs.inst_per_startup, CpuJobClass::kUser);
+  co_await resources.cpu().Execute(system_.config().costs.inst_per_startup,
+                                   CpuJobClass::kUser);
   if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
     co_return;
 
   cc->BeginCohort(txn, cohort_index);
   for (const workload::PageAccess& access : spec.accesses) {
     // Concurrency control request (InstPerCCReq of CPU, usually 0).
-    if (s_.config->costs.inst_per_cc_req > 0) {
-      co_await cpu->Execute(s_.config->costs.inst_per_cc_req,
-                            CpuJobClass::kUser);
+    if (system_.config().costs.inst_per_cc_req > 0) {
+      co_await resources.cpu().Execute(system_.config().costs.inst_per_cc_req,
+                                       CpuJobClass::kUser);
       if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
         co_return;
     }
@@ -64,10 +65,10 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
         // or lock-wait timeout): inform the coordinator; cleanup happens
         // when its ABORT message returns.
         AbortReason reason = SelfAbortReason();
-        s_.network->Send(node, kHostNode, net::MsgTag::kCohortAborted,
-                         [this, txn, attempt, reason] {
-                           coord_->OnAbortRequest(txn, attempt, reason);
-                         });
+        system_.network().Send(node, kHostNode, net::MsgTag::kCohortAborted,
+                               [this, txn, attempt, reason] {
+                                 coord_->OnAbortRequest(txn, attempt, reason);
+                               });
       }
       co_return;
     }
@@ -75,44 +76,49 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
 
     if (!access.is_write) {
       // Synchronous read I/O; updated pages defer their I/O to after commit.
-      co_await s_.disk_access(node, DiskOp::kRead);
+      co_await resources.DiskAccess(DiskOp::kRead);
       if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
         co_return;
     }
 
     // Page processing: exponentially distributed around InstPerPage.
-    double instructions = s_.node_rng(node)->Exponential(cls.inst_per_page);
-    co_await cpu->Execute(instructions, CpuJobClass::kUser);
+    double instructions =
+        system_.node_rng(node).Exponential(cls.inst_per_page);
+    co_await resources.cpu().Execute(instructions, CpuJobClass::kUser);
     if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
       co_return;
   }
 
   txn->cohort(cohort_index).ready = true;
-  s_.network->Send(node, kHostNode, net::MsgTag::kCohortReady,
-                   [this, txn, attempt, cohort_index] {
-                     coord_->OnCohortReady(txn, attempt, cohort_index);
-                   });
+  system_.network().Send(node, kHostNode, net::MsgTag::kCohortReady,
+                         [this, txn, attempt, cohort_index] {
+                           coord_->OnCohortReady(txn, attempt, cohort_index);
+                         });
 
   // Cohort-side presumed abort (fault runs only): READY is out, and until
   // the cohort votes it is not in-doubt, so if no PREPARE (or ABORT) shows
   // up within the timeout it may abort unilaterally instead of holding its
   // locks behind a lost message.
-  const config::FaultParams& f = s_.config->faults;
+  const config::FaultParams& f = system_.config().faults;
   if (f.any() && f.msg_timeout_sec > 0.0) {
     // ccsim-analyze: coro-ok(CohortService lives in System beyond the calendar; txn is a shared_ptr kept alive by the capture and staleness is re-checked on fire)
-    s_.sim->After(f.msg_timeout_sec, [this, txn, attempt, cohort_index, node] {
-      if (txn->IsStaleAttempt(attempt)) return;
-      CohortRuntime& c = txn->cohort(cohort_index);
-      if (c.voted || c.abort_flag || c.decision_handled) return;  // progressed
-      c.decision_handled = true;
-      c.abort_flag = true;
-      s_.cc_at(node)->AbortCohort(txn, cohort_index);
-      s_.network->Send(node, kHostNode, net::MsgTag::kCohortAborted,
-                       [this, txn, attempt] {
-                         coord_->OnAbortRequest(txn, attempt,
-                                                AbortReason::kCommTimeout);
-                       });
-    });
+    system_.sim().After(
+        f.msg_timeout_sec, [this, txn, attempt, cohort_index, node] {
+          if (txn->IsStaleAttempt(attempt)) return;
+          CohortRuntime& c = txn->cohort(cohort_index);
+          if (c.voted || c.abort_flag || c.decision_handled) {
+            return;  // progressed
+          }
+          c.decision_handled = true;
+          c.abort_flag = true;
+          system_.cc_at(node)->AbortCohort(txn, cohort_index);
+          system_.network().Send(
+              node, kHostNode, net::MsgTag::kCohortAborted,
+              [this, txn, attempt] {
+                coord_->OnAbortRequest(txn, attempt,
+                                       AbortReason::kCommTimeout);
+              });
+        });
   }
 }
 
@@ -129,14 +135,14 @@ sim::Process CohortService::PrepareProcess(TxnPtr txn, int attempt,
   // Most managers vote immediately; 2PL-DW may block here while its write
   // locks upgrade.
   cc::Vote vote =
-      co_await sim::Await(s_.cc_at(node)->Prepare(txn, cohort_index));
+      co_await sim::Await(system_.cc_at(node)->Prepare(txn, cohort_index));
   if (txn->IsStaleAttempt(attempt) || txn->cohort(cohort_index).abort_flag)
     co_return;  // aborted while preparing; the vote is moot
   txn->cohort(cohort_index).voted = true;  // in-doubt from here on
-  s_.network->Send(node, kHostNode, net::MsgTag::kVote,
-                   [this, txn, attempt, cohort_index, vote] {
-                     coord_->OnVote(txn, attempt, cohort_index, vote);
-                   });
+  system_.network().Send(node, kHostNode, net::MsgTag::kVote,
+                         [this, txn, attempt, cohort_index, vote] {
+                           coord_->OnVote(txn, attempt, cohort_index, vote);
+                         });
 }
 
 void CohortService::HandleCommit(const TxnPtr& txn, int attempt,
@@ -149,25 +155,25 @@ void CohortService::HandleCommit(const TxnPtr& txn, int attempt,
   CohortRuntime& c = txn->cohort(cohort_index);
   if (!c.decision_handled) {
     c.decision_handled = true;
-    s_.cc_at(node)->CommitCohort(txn, cohort_index);
+    system_.cc_at(node)->CommitCohort(txn, cohort_index);
     // Kick off the asynchronous write-back of every updated page.
     for (const workload::PageAccess& access :
          txn->cohort_spec(cohort_index).accesses) {
       if (access.is_write) AsyncPageWrite(node);
     }
   }
-  s_.network->Send(node, kHostNode, net::MsgTag::kAck,
-                   [this, txn, attempt, cohort_index] {
-                     coord_->OnAck(txn, attempt, cohort_index);
-                   });
+  system_.network().Send(node, kHostNode, net::MsgTag::kAck,
+                         [this, txn, attempt, cohort_index] {
+                           coord_->OnAck(txn, attempt, cohort_index);
+                         });
 }
 
 sim::Process CohortService::AsyncPageWrite(NodeId node) {
   // InstPerUpdate of CPU to initiate, then the transfer on a random disk
   // (write-priority queue). Nothing awaits this process.
-  co_await s_.cpu_at(node)->Execute(s_.config->costs.inst_per_update,
-                                    CpuJobClass::kUser);
-  co_await s_.disk_access(node, DiskOp::kWrite);
+  co_await system_.resources(node).cpu().Execute(
+      system_.config().costs.inst_per_update, CpuJobClass::kUser);
+  co_await system_.resources(node).DiskAccess(DiskOp::kWrite);
 }
 
 void CohortService::HandleAbort(const TxnPtr& txn, int attempt,
@@ -180,14 +186,14 @@ void CohortService::HandleAbort(const TxnPtr& txn, int attempt,
     // Order matters: the flag silences the cohort coroutine before cleanup
     // wakes any request it has blocked in the CC manager.
     c.abort_flag = true;
-    s_.cc_at(node)->AbortCohort(txn, cohort_index);
+    system_.cc_at(node)->AbortCohort(txn, cohort_index);
   }
   // Always (re-)acknowledge: under faults this may be a resent ABORT whose
   // first ack was dropped, or a duplicate after a unilateral cohort abort.
-  s_.network->Send(node, kHostNode, net::MsgTag::kAck,
-                   [this, txn, attempt, cohort_index] {
-                     coord_->OnAck(txn, attempt, cohort_index);
-                   });
+  system_.network().Send(node, kHostNode, net::MsgTag::kAck,
+                         [this, txn, attempt, cohort_index] {
+                           coord_->OnAck(txn, attempt, cohort_index);
+                         });
 }
 
 }  // namespace ccsim::txn

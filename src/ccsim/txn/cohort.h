@@ -2,8 +2,11 @@
 #define CCSIM_TXN_COHORT_H_
 
 #include "ccsim/sim/process.h"
-#include "ccsim/txn/services.h"
 #include "ccsim/txn/transaction.h"
+
+namespace ccsim::engine {
+class System;
+}  // namespace ccsim::engine
 
 namespace ccsim::txn {
 
@@ -27,7 +30,7 @@ class CoordinatorService;
 /// the message handler, never from the coroutine.
 class CohortService {
  public:
-  explicit CohortService(Services services);
+  explicit CohortService(engine::System* system);
 
   void set_coordinator(CoordinatorService* coord) { coord_ = coord; }
 
@@ -38,7 +41,7 @@ class CohortService {
   void HandleAbort(const TxnPtr& txn, int attempt, int cohort_index);
 
   /// Cohort process frames live in the simulation's arena (process.h).
-  sim::Arena* process_arena() { return s_.sim->arena(); }
+  sim::Arena* process_arena();
 
  private:
   sim::Process RunCohort(TxnPtr txn, int attempt, int cohort_index);
@@ -48,7 +51,7 @@ class CohortService {
   /// manager (depends on the algorithm in use).
   AbortReason SelfAbortReason() const;
 
-  Services s_;
+  engine::System& system_;
   CoordinatorService* coord_ = nullptr;
 };
 

@@ -5,34 +5,39 @@
 #include <utility>
 #include <vector>
 
+#include "ccsim/engine/system.h"
 #include "ccsim/sim/check.h"
 
 namespace ccsim::txn {
 
 using resource::CpuJobClass;
 
-CoordinatorService::CoordinatorService(Services services,
+CoordinatorService::CoordinatorService(engine::System* system,
                                        CohortService* cohorts)
-    : s_(std::move(services)), cohorts_(cohorts) {
+    : system_(*system), cohorts_(cohorts) {
   cohorts_->set_coordinator(this);
+}
+
+sim::Arena* CoordinatorService::process_arena() {
+  return system_.sim().arena();
 }
 
 std::shared_ptr<sim::Completion<sim::Unit>> CoordinatorService::Submit(
     workload::TransactionSpec spec) {
-  auto done = sim::MakeCompletion<sim::Unit>(s_.sim);
+  auto done = sim::MakeCompletion<sim::Unit>(&system_.sim());
   // Transaction state (object + control block) lives in the simulation's
   // arena: transactions are a fixed closed population (<= NumTerminals
   // live), created and destroyed once per terminal cycle.
   auto txn = std::allocate_shared<Transaction>(
-      sim::ArenaAllocator<Transaction>(s_.sim->arena()), next_id_++,
-      std::move(spec), s_.sim->Now(), done);
+      sim::ArenaAllocator<Transaction>(system_.sim().arena()), next_id_++,
+      std::move(spec), system_.sim().Now(), done);
   live_.emplace(txn->id(), txn);
   StartAttempt(txn, /*first_attempt=*/true);
   return done;
 }
 
 void CoordinatorService::StartAttempt(const TxnPtr& txn, bool first_attempt) {
-  txn->BeginAttempt(s_.sim->Now());
+  txn->BeginAttempt(system_.sim().Now());
   StartAttemptProcess(txn, first_attempt);
   ArmPhaseTimer(txn);
 }
@@ -43,12 +48,12 @@ sim::Process CoordinatorService::StartAttemptProcess(TxnPtr txn,
   // (InstPerStartup at the host); cohort processes restart on every attempt.
   int attempt = txn->attempt();
   if (first_attempt) {
-    co_await s_.cpu_at(kHostNode)->Execute(s_.config->costs.inst_per_startup,
-                                           CpuJobClass::kUser);
+    co_await system_.resources(kHostNode).cpu().Execute(
+        system_.config().costs.inst_per_startup, CpuJobClass::kUser);
     if (txn->IsStaleAttempt(attempt) || txn->phase() != TxnPhase::kRunning)
       co_return;
   }
-  txn->exec_start_time = s_.sim->Now();  // host startup queue/CPU is behind us
+  txn->exec_start_time = system_.sim().Now();  // host startup is behind us
   if (txn->spec().exec_pattern == config::ExecPattern::kParallel) {
     for (int i = 0; i < txn->num_cohorts(); ++i) SendLoad(txn, i);
   } else {
@@ -63,12 +68,12 @@ void CoordinatorService::SendLoad(const TxnPtr& txn, int cohort_index) {
   NodeId node = txn->cohort_spec(cohort_index).node;
   // The LOAD ships the cohort's page-access list; its wire size scales with
   // the access count under the byte-counting network models.
-  s_.network->Send(kHostNode, node, net::MsgTag::kLoadCohort,
-                   [this, txn, attempt, cohort_index] {
-                     cohorts_->HandleLoad(txn, attempt, cohort_index);
-                   },
-                   static_cast<std::uint32_t>(
-                       txn->cohort_spec(cohort_index).accesses.size()));
+  system_.network().Send(kHostNode, node, net::MsgTag::kLoadCohort,
+                         [this, txn, attempt, cohort_index] {
+                           cohorts_->HandleLoad(txn, attempt, cohort_index);
+                         },
+                         static_cast<std::uint32_t>(
+                             txn->cohort_spec(cohort_index).accesses.size()));
 }
 
 void CoordinatorService::OnCohortReady(const TxnPtr& txn, int attempt,
@@ -87,8 +92,8 @@ void CoordinatorService::OnCohortReady(const TxnPtr& txn, int attempt,
   // All cohorts done: enter the commit protocol with a globally unique
   // certification timestamp (used by OPT).
   txn->set_phase(TxnPhase::kPreparing);
-  txn->prepare_start_time = s_.sim->Now();
-  txn->set_commit_ts(Timestamp{s_.sim->Now(), txn->id()});
+  txn->prepare_start_time = system_.sim().Now();
+  txn->set_commit_ts(Timestamp{system_.sim().Now(), txn->id()});
   SendPrepares(txn);
   ArmPhaseTimer(txn);
 }
@@ -97,10 +102,10 @@ void CoordinatorService::SendPrepares(const TxnPtr& txn) {
   int attempt = txn->attempt();
   for (int i = 0; i < txn->num_cohorts(); ++i) {
     NodeId node = txn->cohort_spec(i).node;
-    s_.network->Send(kHostNode, node, net::MsgTag::kPrepare,
-                     [this, txn, attempt, i] {
-                       cohorts_->HandlePrepare(txn, attempt, i);
-                     });
+    system_.network().Send(kHostNode, node, net::MsgTag::kPrepare,
+                           [this, txn, attempt, i] {
+                             cohorts_->HandlePrepare(txn, attempt, i);
+                           });
   }
 }
 
@@ -132,7 +137,7 @@ void CoordinatorService::SendDecision(const TxnPtr& txn) {
     // is); a resend pass skips those whose ack is already counted.
     if (!c.load_sent || c.ack_counted) continue;
     NodeId node = txn->cohort_spec(i).node;
-    if (!NodeUp(node)) {
+    if (!system_.NodeUp(node)) {
       // The cohort's node is down: presume its ack (the decision is durable
       // at the host, and the crash drained the cohort's state) so the round
       // terminates instead of waiting for a message that cannot arrive.
@@ -140,15 +145,15 @@ void CoordinatorService::SendDecision(const TxnPtr& txn) {
       ++txn->acks;
       continue;
     }
-    s_.network->Send(kHostNode, node,
-                     commit ? net::MsgTag::kCommit : net::MsgTag::kAbort,
-                     [this, txn, attempt, i, commit] {
-                       if (commit) {
-                         cohorts_->HandleCommit(txn, attempt, i);
-                       } else {
-                         cohorts_->HandleAbort(txn, attempt, i);
-                       }
-                     });
+    system_.network().Send(kHostNode, node,
+                           commit ? net::MsgTag::kCommit : net::MsgTag::kAbort,
+                           [this, txn, attempt, i, commit] {
+                             if (commit) {
+                               cohorts_->HandleCommit(txn, attempt, i);
+                             } else {
+                               cohorts_->HandleAbort(txn, attempt, i);
+                             }
+                           });
   }
   // Zero-cost messages deliver synchronously, so the acks (and the end of
   // the round) may already have happened inside the loop above.
@@ -194,7 +199,7 @@ void CoordinatorService::FinalizeCommit(const TxnPtr& txn) {
   DisarmPhaseTimer(txn);
   txn->set_phase(TxnPhase::kCommitted);
   ++commits_;
-  if (s_.on_commit) s_.on_commit(*txn);
+  system_.RecordCommit(*txn);
   txn->done->Complete(sim::Unit{});
   live_.erase(txn->id());
 }
@@ -210,14 +215,14 @@ void CoordinatorService::BeginAbort(const TxnPtr& txn, AbortReason reason) {
 }
 
 void CoordinatorService::ScheduleRestart(const TxnPtr& txn) {
-  const config::OverloadParams& ov = s_.config->overload;
+  const config::OverloadParams& ov = system_.config().overload;
   // Graceful degradation (overload extension): give up instead of retrying
   // forever when the transaction can no longer meet its deadline or has
   // spent its restart budget. Checked here - the single point every abort
   // path (CC aborts, timeouts, forced terminations, node crashes) funnels
   // through on its way back to execution.
   if (ov.txn_deadline_sec > 0.0 &&
-      s_.sim->Now() - txn->origin_time() >= ov.txn_deadline_sec) {
+      system_.sim().Now() - txn->origin_time() >= ov.txn_deadline_sec) {
     Abandon(txn, /*deadline_exceeded=*/true);
     return;
   }
@@ -228,16 +233,16 @@ void CoordinatorService::ScheduleRestart(const TxnPtr& txn) {
   txn->set_phase(TxnPhase::kRestartWait);
   double delay = RestartDelay(txn);
   // ccsim-analyze: coro-ok(CoordinatorService lives in System beyond the calendar; txn is a shared_ptr kept alive by the capture)
-  s_.sim->After(delay, [this, txn] {
-    if (s_.regenerate_spec) {
-      txn->ReplaceSpec(s_.regenerate_spec(txn->spec()));
+  system_.sim().After(delay, [this, txn] {
+    if (system_.config().workload.fake_restarts) {
+      txn->ReplaceSpec(system_.RegenerateSpec(txn->spec()));
     }
     StartAttempt(txn, /*first_attempt=*/false);
   });
 }
 
 double CoordinatorService::RestartDelay(const TxnPtr& txn) const {
-  const config::OverloadParams& ov = s_.config->overload;
+  const config::OverloadParams& ov = system_.config().overload;
   if (ov.restart_backoff_base_sec > 0.0) {
     // Capped exponential backoff: restart k (== total_aborts) waits
     // base * 2^(k-1), clamped. ldexp is exact, and overflow saturates to
@@ -246,7 +251,7 @@ double CoordinatorService::RestartDelay(const TxnPtr& txn) const {
                     std::ldexp(ov.restart_backoff_base_sec,
                                txn->total_aborts - 1));
   }
-  return s_.restart_delay ? s_.restart_delay() : 0.0;
+  return system_.RestartDelay();
 }
 
 void CoordinatorService::Abandon(const TxnPtr& txn, bool deadline_exceeded) {
@@ -259,7 +264,7 @@ void CoordinatorService::Abandon(const TxnPtr& txn, bool deadline_exceeded) {
   }
   // Giving up on a transaction resolves it: forward progress for the
   // watchdog's stall clock even when nothing commits under overload.
-  s_.sim->NoteProgress();
+  system_.sim().NoteProgress();
   txn->done->Complete(sim::Unit{});
   live_.erase(txn->id());
 }
@@ -277,27 +282,28 @@ void CoordinatorService::OnAbortRequest(const TxnPtr& txn, int attempt,
 // --- fault hardening ------------------------------------------------------
 
 void CoordinatorService::ArmPhaseTimer(const TxnPtr& txn) {
-  const config::FaultParams& f = s_.config->faults;
+  const config::FaultParams& f = system_.config().faults;
   if (!f.any() || f.msg_timeout_sec <= 0.0) return;
   DisarmPhaseTimer(txn);
   int attempt = txn->attempt();
   // ccsim-analyze: coro-ok(CoordinatorService lives in System beyond the calendar; txn is a shared_ptr kept alive by the capture and the attempt guard rejects stale fires)
-  txn->phase_timer = s_.sim->After(f.msg_timeout_sec, [this, txn, attempt] {
-    txn->phase_timer = 0;
-    OnPhaseTimeout(txn, attempt);
-  });
+  txn->phase_timer =
+      system_.sim().After(f.msg_timeout_sec, [this, txn, attempt] {
+        txn->phase_timer = 0;
+        OnPhaseTimeout(txn, attempt);
+      });
 }
 
 void CoordinatorService::DisarmPhaseTimer(const TxnPtr& txn) {
   if (txn->phase_timer != 0) {
-    s_.sim->Cancel(txn->phase_timer);
+    system_.sim().Cancel(txn->phase_timer);
     txn->phase_timer = 0;
   }
 }
 
 void CoordinatorService::OnPhaseTimeout(const TxnPtr& txn, int attempt) {
   if (txn->IsStaleAttempt(attempt)) return;
-  const config::FaultParams& f = s_.config->faults;
+  const config::FaultParams& f = system_.config().faults;
   switch (txn->phase()) {
     case TxnPhase::kRunning:
     case TxnPhase::kPreparing:
@@ -329,17 +335,17 @@ void CoordinatorService::ForceTerminate(const TxnPtr& txn) {
     CohortRuntime& c = txn->cohort(i);
     if (!c.load_sent || c.ack_counted) continue;
     NodeId node = txn->cohort_spec(i).node;
-    if (!c.decision_handled && NodeUp(node)) {
+    if (!c.decision_handled && system_.NodeUp(node)) {
       // The cohort is reachable but its acks never made it through the
       // configured resends; apply the decision out of band (modeling the
       // termination protocol a real system would run) so no lock is held
       // forever by a decided transaction.
       c.decision_handled = true;
       if (committing) {
-        s_.cc_at(node)->CommitCohort(txn, i);
+        system_.cc_at(node)->CommitCohort(txn, i);
       } else {
         c.abort_flag = true;
-        s_.cc_at(node)->AbortCohort(txn, i);
+        system_.cc_at(node)->AbortCohort(txn, i);
       }
     }
     c.ack_counted = true;
@@ -377,7 +383,7 @@ void CoordinatorService::OnNodeCrash(NodeId node) {
       if (c.load_sent && !c.decision_handled) {
         c.decision_handled = true;
         c.abort_flag = true;
-        s_.cc_at(node)->AbortCohort(txn, i);
+        system_.cc_at(node)->AbortCohort(txn, i);
       }
     }
     switch (txn->phase()) {

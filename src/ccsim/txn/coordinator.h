@@ -6,11 +6,15 @@
 #include <memory>
 #include <unordered_map>
 
+#include "ccsim/cc/cc_manager.h"
 #include "ccsim/sim/process.h"
 #include "ccsim/txn/cohort.h"
-#include "ccsim/txn/services.h"
 #include "ccsim/txn/transaction.h"
 #include "ccsim/workload/spec.h"
+
+namespace ccsim::engine {
+class System;
+}  // namespace ccsim::engine
 
 namespace ccsim::txn {
 
@@ -30,7 +34,7 @@ namespace ccsim::txn {
 /// aborted (the wound-wait rule of Sec 2.3).
 class CoordinatorService {
  public:
-  CoordinatorService(Services services, CohortService* cohorts);
+  CoordinatorService(engine::System* system, CohortService* cohorts);
 
   /// Admits a transaction; the returned completion fires when it commits.
   std::shared_ptr<sim::Completion<sim::Unit>> Submit(
@@ -74,7 +78,7 @@ class CoordinatorService {
   }
 
   /// Coordinator process frames live in the simulation's arena (process.h).
-  sim::Arena* process_arena() { return s_.sim->arena(); }
+  sim::Arena* process_arena();
 
  private:
   void StartAttempt(const TxnPtr& txn, bool first_attempt);
@@ -100,7 +104,6 @@ class CoordinatorService {
   double RestartDelay(const TxnPtr& txn) const;
 
   // --- fault hardening (all no-ops / unreachable when faults are off) ----
-  bool NodeUp(NodeId node) const { return !s_.node_up || s_.node_up(node); }
   /// (Re)arms the per-transaction phase timeout; no-op unless
   /// FaultParams::any() and msg_timeout_sec > 0. Every protocol progress
   /// event rearms it, so it only fires after a genuinely silent period.
@@ -112,7 +115,7 @@ class CoordinatorService {
   /// protocol) and presumes the missing acks.
   void ForceTerminate(const TxnPtr& txn);
 
-  Services s_;
+  engine::System& system_;
   CohortService* cohorts_;
   TxnId next_id_ = 1;
   std::unordered_map<TxnId, TxnPtr> live_;

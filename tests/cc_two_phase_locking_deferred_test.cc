@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "ccsim/engine/run.h"
 #include "test_util.h"
@@ -90,6 +91,35 @@ TEST_F(DeferredTest, ConcurrentUpgradesDeadlockAndVictimChosen) {
   EXPECT_EQ(v1->TakeValue(), Vote::kYes);
   ASSERT_TRUE(v2->done());
   EXPECT_EQ(v2->TakeValue(), Vote::kNo);
+}
+
+// A write access locks shared until prepare, so a delayed shared grant is
+// not always a read: only the reader's grant may audit a version read.
+TEST_F(DeferredTest, DelayedGrantAuditsReadsButNotWrites) {
+  auto writer = MakeTxn(1, 1, {p1_}, 0b1, 1.0);
+  auto blocked_writer = MakeTxn(2, 1, {p1_}, 0b1, 2.0);
+  auto reader = MakeTxn(3, 1, {p1_}, 0, 3.0);
+  for (const auto& t : {writer, blocked_writer, reader}) {
+    mgr_.BeginCohort(t, 0);
+  }
+  mgr_.RequestAccess(writer, 0, p1_, AccessMode::kWrite);
+  auto vote = mgr_.Prepare(writer, 0);  // upgrades to exclusive at once
+  ASSERT_TRUE(vote->done());
+  auto w = mgr_.RequestAccess(blocked_writer, 0, p1_, AccessMode::kWrite);
+  auto r = mgr_.RequestAccess(reader, 0, p1_, AccessMode::kRead);
+  EXPECT_FALSE(w->done());
+  EXPECT_FALSE(r->done());
+  ctx_.audits.clear();
+  mgr_.CommitCohort(writer, 0);  // grants both shared requests
+  EXPECT_TRUE(w->done());
+  EXPECT_TRUE(r->done());
+  std::vector<TxnId> read_audits;
+  for (const auto& a : ctx_.audits) {
+    if (a.kind == FakeCcContext::AuditCall::kRead) {
+      read_audits.push_back(a.txn);
+    }
+  }
+  EXPECT_EQ(read_audits, std::vector<TxnId>{3});
 }
 
 TEST_F(DeferredTest, PureReaderPreparesImmediately) {

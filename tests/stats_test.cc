@@ -301,43 +301,6 @@ TEST(LatencyHistogram, QuantileRelativeErrorBoundOnMillionSamples) {
   }
 }
 
-TEST(LatencyHistogram, MergeOfPartsEqualsWhole) {
-  // Merge associativity and exactness: recording a stream into one
-  // histogram must be indistinguishable from splitting the stream across
-  // shards and merging in any grouping/order.
-  TestRng rng(42);
-  LatencyHistogram whole(-20, 13);
-  LatencyHistogram a(-20, 13), b(-20, 13), c(-20, 13);
-  for (int i = 0; i < 30'000; ++i) {
-    double x = 1e-4 * std::exp(12.0 * rng.NextUnit());  // spans the range
-    whole.Record(x);
-    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).Record(x);
-  }
-  // (a + b) + c
-  LatencyHistogram left(-20, 13);
-  left.Merge(a);
-  left.Merge(b);
-  left.Merge(c);
-  // a + (c + b) - different order and grouping
-  LatencyHistogram right(-20, 13);
-  right.Merge(c);
-  right.Merge(b);
-  right.Merge(a);
-  for (const auto* m : {&left, &right}) {
-    EXPECT_EQ(m->count(), whole.count());
-    EXPECT_EQ(m->underflow(), whole.underflow());
-    EXPECT_EQ(m->overflow(), whole.overflow());
-    EXPECT_DOUBLE_EQ(m->min(), whole.min());
-    EXPECT_DOUBLE_EQ(m->max(), whole.max());
-    for (std::size_t i = 0; i < whole.num_buckets(); ++i) {
-      ASSERT_EQ(m->bucket_count(i), whole.bucket_count(i)) << "bucket " << i;
-    }
-    for (double q : {0.5, 0.9, 0.99, 0.999}) {
-      EXPECT_DOUBLE_EQ(m->Quantile(q), whole.Quantile(q)) << "q=" << q;
-    }
-  }
-}
-
 TEST(LatencyHistogram, ResetClears) {
   LatencyHistogram h(0, 2);
   h.Record(0.5);

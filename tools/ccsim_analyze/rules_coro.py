@@ -29,8 +29,8 @@ PR 4 a double-finalize through exactly the holes this pass now guards:
                       `co_await` on anything other than the sanctioned
                       awaitables (Simulation::Delay, sim::Await over a
                       Completion, and the CPU and disk jobs returned by
-                      Cpu::Execute/ExecuteSeconds, Disk::Access,
-                      ResourceManager::DiskAccess and Services::disk_access)
+                      Cpu::Execute/ExecuteSeconds, Disk::Access and
+                      ResourceManager::DiskAccess)
                       suspends a frame the registry never learns about: it
                       leaks at teardown, and member access after resumption
                       races object destruction. New awaitable types must
@@ -57,7 +57,7 @@ SCHED_CALL_RE = re.compile(r"\b(?:At|After|Schedule|ScheduleResume)\s*\(")
 RAW_RESUME_RE = re.compile(r"(?:\.|->)\s*(resume|destroy)\s*\(\s*\)")
 CO_AWAIT_RE = re.compile(r"\bco_await\b")
 SANCTIONED_AWAIT_RE = re.compile(
-    r"\b(?:Await|Delay|Execute|ExecuteSeconds|Access|DiskAccess|disk_access)"
+    r"\b(?:Await|Delay|Execute|ExecuteSeconds|Access|DiskAccess)"
     r"\s*\(")
 
 

@@ -16,7 +16,7 @@ lines:
   * range-for whose range is the container, directly or through a member
     chain or a dereference (`: table_`, `: *locks`, `: h->inner.table_`);
   * iterator loops whose header calls `begin()`/`cbegin()` on it;
-  * `ForEach`/`ForEachMutable` calls on it (the callback is the loop body).
+  * `ForEach` calls on it (the callback is the loop body).
 
 Fix by iterating an ordered container, or after a determinism audit waive
 the loop with
@@ -49,7 +49,7 @@ def _check_file(sf: SourceFile, root: str, findings: list[Finding]) -> None:
     range_re = re.compile(
         rf":\s*[&*]?\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*({alt})$")
     begin_re = re.compile(rf"\b({alt})\s*(?:\.|->)\s*c?begin\s*\(")
-    foreach_re = re.compile(rf"\b({alt})\s*\.\s*ForEach(?:Mutable)?\s*\(")
+    foreach_re = re.compile(rf"\b({alt})\s*\.\s*ForEach\s*\(")
 
     sites: list[tuple[int, str]] = []  # (offset, container name)
     for m in FOR_RE.finditer(sf.text):

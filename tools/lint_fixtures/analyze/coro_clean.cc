@@ -16,5 +16,4 @@ Process Node::Run() {
   co_await cpu_->ExecuteSeconds(0.5, CpuJobClass::kMessage);
   co_await disk_->Access(DiskOp::kRead);
   co_await resources_->DiskAccess(DiskOp::kWrite);
-  co_await s_.disk_access(node_, DiskOp::kRead);
 }
