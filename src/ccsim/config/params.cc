@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "ccsim/sim/stream_ids.h"
+
 namespace ccsim::config {
 
 namespace {
@@ -39,6 +41,9 @@ std::string SystemConfig::Validate() const {
   if (machine.host_mips <= 0 || machine.node_mips <= 0)
     return "CPU rates must be positive";
   if (machine.disks_per_node < 1) return "disks_per_node must be >= 1";
+  if (static_cast<std::uint64_t>(machine.disks_per_node) >=
+      sim::stream_ids::kNodeResourceStreamStride)
+    return "disks_per_node exceeds a node's RNG stream band";
   if (machine.min_disk_ms < 0 || machine.max_disk_ms < machine.min_disk_ms)
     return "disk time range invalid";
   if (database.num_relations < 1 || database.partitions_per_relation < 1)
@@ -128,102 +133,134 @@ std::string SystemConfig::Validate() const {
   if (net.rdma_op_latency_sec < 0)
     return "rdma_op_latency_sec must be >= 0";
   if (run.warmup_sec < 0 || run.measure_sec <= 0) return "run window invalid";
+  if (run.rt_batch_size < 1) return "rt_batch_size must be >= 1";
   if (run.watchdog_stall_sec < 0) return "watchdog_stall_sec must be >= 0";
   return "";
 }
 
 std::uint64_t SystemConfig::Fingerprint() const {
+  // Every config struct is unpacked by one structured binding that names
+  // all of its fields, so a field added to any of them (or a member added to
+  // SystemConfig) fails to compile here until it is mixed below or left out
+  // with a stated reason. The mix order and its conditions are frozen: the
+  // committed result cache is keyed by them.
+  const auto& [machine, database, placement, workload, costs, locking, faults,
+               overload, net, run, algorithm] = *this;
+  const auto& [num_proc_nodes, host_mips, node_mips, disks_per_node,
+               min_disk_ms, max_disk_ms] = machine;
+  const auto& [num_relations, partitions_per_relation, pages_per_file] =
+      database;
+  const auto& [degree] = placement;
+  const auto& [num_terminals, think_time_sec, classes, fake_restarts] =
+      workload;
+  const auto& [inst_per_update, inst_per_startup, inst_per_msg,
+               inst_per_cc_req, deadlock_interval_sec] = costs;
+  const auto& [queue_jump, timeout_sec] = locking;
+  const auto& [node_mttf_sec, node_mttr_sec, msg_drop_prob, disk_error_prob,
+               disk_error_delay_ms, msg_timeout_sec, max_msg_retries,
+               retry_backoff_sec, max_decision_resends] = faults;
+  const auto& [arrival_rate_per_sec, max_in_flight, admission_queue_cap,
+               admission_policy, txn_deadline_sec, restart_backoff_base_sec,
+               restart_backoff_cap_sec, max_restarts] = overload;
+  const auto& [model, link_mbytes_per_sec, wire_latency_sec, msg_bytes,
+               bytes_per_item, rdma_op_latency_sec, batching] = net;
+  // The watchdog limits stay out: they are diagnostic kill switches, and a
+  // tripped watchdog aborts the process instead of returning a result, so
+  // they can never change a cached metric.
+  const auto& [warmup_sec, measure_sec, seed, initial_rt_estimate_sec,
+               enable_audit, rt_batch_size, watchdog_max_events,
+               watchdog_stall_sec] = run;
+
   Hasher h;
-  h.Mix(machine.num_proc_nodes);
-  h.Mix(machine.host_mips);
-  h.Mix(machine.node_mips);
-  h.Mix(machine.disks_per_node);
-  h.Mix(machine.min_disk_ms);
-  h.Mix(machine.max_disk_ms);
-  h.Mix(database.num_relations);
-  h.Mix(database.partitions_per_relation);
-  h.Mix(database.pages_per_file);
-  h.Mix(placement.degree);
-  h.Mix(workload.num_terminals);
-  h.Mix(workload.think_time_sec);
+  h.Mix(num_proc_nodes);
+  h.Mix(host_mips);
+  h.Mix(node_mips);
+  h.Mix(disks_per_node);
+  h.Mix(min_disk_ms);
+  h.Mix(max_disk_ms);
+  h.Mix(num_relations);
+  h.Mix(partitions_per_relation);
+  h.Mix(pages_per_file);
+  h.Mix(degree);
+  h.Mix(num_terminals);
+  h.Mix(think_time_sec);
   // Later-added optional knobs are mixed only when they deviate from their
   // defaults, so fingerprints of existing configurations stay stable across
   // releases (the bench result cache keys on them).
-  if (workload.fake_restarts) h.Mix(workload.fake_restarts);
-  if (algorithm == CcAlgorithm::kTwoPhaseLockingTimeout)
-    h.Mix(locking.timeout_sec);
+  if (fake_restarts) h.Mix(fake_restarts);
+  if (algorithm == CcAlgorithm::kTwoPhaseLockingTimeout) h.Mix(timeout_sec);
   // rt_batch_size changes rt_ci_half_width, so it must key the cache too.
-  if (run.rt_batch_size != RunParams{}.rt_batch_size) h.Mix(run.rt_batch_size);
+  if (rt_batch_size != RunParams{}.rt_batch_size) h.Mix(rt_batch_size);
   // enable_audit never perturbs the event stream, but it changes what the
   // result *reports* (audited/serializable), so an audit run must not be
   // served a cached non-audit result or vice versa. Mixed only when set:
   // every committed cache entry was produced with the audit off and keeps
   // its fingerprint.
-  if (run.enable_audit) h.Mix(run.enable_audit);
+  if (enable_audit) h.Mix(enable_audit);
   // Fault injection: mixed only when active, so every fault-free config
-  // keeps its pre-fault fingerprint (and cached result). The watchdog knobs
-  // are deliberately excluded - they never change metrics, only whether a
-  // broken run dies loudly.
+  // keeps its pre-fault fingerprint (and cached result).
   if (faults.any()) {
-    h.Mix(faults.node_mttf_sec);
-    h.Mix(faults.node_mttr_sec);
-    h.Mix(faults.msg_drop_prob);
-    h.Mix(faults.disk_error_prob);
-    h.Mix(faults.disk_error_delay_ms);
-    h.Mix(faults.msg_timeout_sec);
-    h.Mix(faults.max_msg_retries);
-    h.Mix(faults.retry_backoff_sec);
-    h.Mix(faults.max_decision_resends);
+    h.Mix(node_mttf_sec);
+    h.Mix(node_mttr_sec);
+    h.Mix(msg_drop_prob);
+    h.Mix(disk_error_prob);
+    h.Mix(disk_error_delay_ms);
+    h.Mix(msg_timeout_sec);
+    h.Mix(max_msg_retries);
+    h.Mix(retry_backoff_sec);
+    h.Mix(max_decision_resends);
   }
   // Open-system overload extension: mixed only when active, so every
   // closed-system config keeps its pre-overload fingerprint (and cached
   // result). The whole block is keyed because any active knob changes the
   // event stream or what the result reports.
   if (overload.any()) {
-    h.Mix(overload.arrival_rate_per_sec);
-    h.Mix(overload.max_in_flight);
-    h.Mix(overload.admission_queue_cap);
-    h.Mix(static_cast<int>(overload.admission_policy));
-    h.Mix(overload.txn_deadline_sec);
-    h.Mix(overload.restart_backoff_base_sec);
-    h.Mix(overload.restart_backoff_cap_sec);
-    h.Mix(overload.max_restarts);
+    h.Mix(arrival_rate_per_sec);
+    h.Mix(max_in_flight);
+    h.Mix(admission_queue_cap);
+    h.Mix(static_cast<int>(admission_policy));
+    h.Mix(txn_deadline_sec);
+    h.Mix(restart_backoff_base_sec);
+    h.Mix(restart_backoff_cap_sec);
+    h.Mix(max_restarts);
   }
   // Network model extension: mixed only when active, so every switch-model
   // config keeps its pre-netmodel fingerprint (and cached result). Inside
   // the block every shape knob is keyed: model and batching change the
-  // event stream, and the wire-shape knobs (link_mbytes_per_sec,
-  // wire_latency_sec, msg_bytes, bytes_per_item, rdma_op_latency_sec)
-  // change delivery timing or the byte counters under the active models.
+  // event stream, and the wire-shape knobs change delivery timing or the
+  // byte counters under the active models.
   if (net.any()) {
-    h.Mix(static_cast<int>(net.model));
-    h.Mix(net.link_mbytes_per_sec);
-    h.Mix(net.wire_latency_sec);
-    h.Mix(net.msg_bytes);
-    h.Mix(net.bytes_per_item);
-    h.Mix(net.rdma_op_latency_sec);
-    h.Mix(net.batching);
+    h.Mix(static_cast<int>(model));
+    h.Mix(link_mbytes_per_sec);
+    h.Mix(wire_latency_sec);
+    h.Mix(msg_bytes);
+    h.Mix(bytes_per_item);
+    h.Mix(rdma_op_latency_sec);
+    h.Mix(batching);
   }
-  h.Mix(static_cast<int>(workload.classes.size()));
-  for (const auto& c : workload.classes) {
-    h.Mix(c.fraction);
-    h.Mix(static_cast<int>(c.exec_pattern));
-    h.Mix(static_cast<int>(c.relation_choice));
-    h.Mix(c.pages_per_partition_avg);
-    h.Mix(c.write_prob);
-    h.Mix(c.inst_per_page);
-    h.Mix(static_cast<int>(c.spread));
+  h.Mix(static_cast<int>(classes.size()));
+  for (const auto& c : classes) {
+    const auto& [fraction, exec_pattern, relation_choice,
+                 pages_per_partition_avg, write_prob, inst_per_page, spread] =
+        c;
+    h.Mix(fraction);
+    h.Mix(static_cast<int>(exec_pattern));
+    h.Mix(static_cast<int>(relation_choice));
+    h.Mix(pages_per_partition_avg);
+    h.Mix(write_prob);
+    h.Mix(inst_per_page);
+    h.Mix(static_cast<int>(spread));
   }
-  h.Mix(costs.inst_per_update);
-  h.Mix(costs.inst_per_startup);
-  h.Mix(costs.inst_per_msg);
-  h.Mix(costs.inst_per_cc_req);
-  h.Mix(costs.deadlock_interval_sec);
-  h.Mix(locking.queue_jump);
-  h.Mix(run.warmup_sec);
-  h.Mix(run.measure_sec);
-  h.Mix(run.seed);
-  h.Mix(run.initial_rt_estimate_sec);
+  h.Mix(inst_per_update);
+  h.Mix(inst_per_startup);
+  h.Mix(inst_per_msg);
+  h.Mix(inst_per_cc_req);
+  h.Mix(deadlock_interval_sec);
+  h.Mix(queue_jump);
+  h.Mix(warmup_sec);
+  h.Mix(measure_sec);
+  h.Mix(seed);
+  h.Mix(initial_rt_estimate_sec);
   h.Mix(static_cast<int>(algorithm));
   return h.digest();
 }

@@ -303,16 +303,19 @@ struct RunParams {
   std::uint64_t rt_batch_size = 200;
   /// Watchdog: fail the run (with a diagnostic dump) after this many fired
   /// events. 0 = unlimited. Diagnostic-only: not part of Fingerprint().
-  // ccsim-analyze: fp-exempt(diagnostic kill switch; a tripped watchdog aborts the process instead of returning a result, so it can never change a cached metric)
   std::uint64_t watchdog_max_events = 0;
   /// Watchdog: fail the run if this much virtual time passes without any
   /// transaction committing (a wedged or livelocked protocol). 0 = off.
   /// Diagnostic-only: not part of Fingerprint().
-  // ccsim-analyze: fp-exempt(diagnostic kill switch; a tripped watchdog aborts the process instead of returning a result, so it can never change a cached metric)
   double watchdog_stall_sec = 0.0;
 };
 
 /// Complete configuration of one simulation run.
+///
+/// Every config struct gets its own structured binding in Fingerprint(),
+/// which names all of its fields. A new member here, or a new field in a
+/// struct that already has a binding, fails to compile until Fingerprint()
+/// mixes it or says why not; a new struct type needs a binding added by hand.
 struct SystemConfig {
   MachineParams machine;
   DatabaseParams database;

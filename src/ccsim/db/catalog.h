@@ -43,8 +43,6 @@ class Catalog {
   const std::vector<FileId>& FilesOfRelationAt(int r,
                                                std::size_t node_index) const;
 
-  const std::vector<NodeId>& file_to_node() const { return file_to_node_; }
-
  private:
   struct RelationLayout {
     std::vector<FileId> files;  // partition order

@@ -13,8 +13,20 @@ namespace ccsim::engine {
 
 using sim::stream_ids::kNodeVariateStreamBase;
 
+namespace {
+
+// Runs before any member is built from the config, so an invalid one fails
+// with Validate()'s message rather than a later component's check.
+const config::SystemConfig& Validated(const config::SystemConfig& config) {
+  std::string error = config.Validate();
+  CCSIM_CHECK_MSG(error.empty(), error.c_str());
+  return config;
+}
+
+}  // namespace
+
 System::System(const config::SystemConfig& config)
-    : config_(config),
+    : config_(Validated(config)),
       catalog_(config.database,
                db::ComputePlacement(config.database,
                                     config.machine.num_proc_nodes,
@@ -24,9 +36,6 @@ System::System(const config::SystemConfig& config)
       // every response time a valid configuration can produce at <= ~1.6%
       // relative quantile error throughout (DESIGN.md decision #11).
       rt_histogram_(-20, 13) {
-  std::string error = config_.Validate();
-  CCSIM_CHECK_MSG(error.empty(), error.c_str());
-
   int total_nodes = config_.machine.num_proc_nodes + 1;
   nodes_.reserve(static_cast<std::size_t>(total_nodes));
   std::vector<resource::Cpu*> cpus;

@@ -57,7 +57,6 @@ class System final : public cc::CcContext {
 
   // --- accessors (tests, examples) ----------------------------------------
   sim::Simulation& sim() { return sim_; }
-  const db::Catalog& catalog() const { return catalog_; }
   net::Network& network() { return *network_; }
   txn::CoordinatorService& coordinator() { return *coordinator_; }
   /// The admission controller; null unless OverloadParams::max_in_flight.

@@ -35,7 +35,11 @@ inline constexpr std::uint64_t kFakeRestartStream = 777;
 /// ids 1..NumDisks are the per-disk access-time streams (ResourceManager).
 inline constexpr std::uint64_t kNodeResourceStreamBase = 1000;
 
-/// Width of one node's resource band (bounds disks per node at 63).
+/// Width of one node's resource band: at most 63 disks per node (Validate
+/// enforces it). The bands also bound the machine size, unenforced: from 63
+/// processing nodes up (62 with 32 or more disks), the last bands reach
+/// kNodeVariateStreamBase and share ids with other nodes' variate streams;
+/// with faults on, bands reach kFaultCrashStreamBase from 125 nodes up.
 inline constexpr std::uint64_t kNodeResourceStreamStride = 64;
 
 /// Per-node model variates (instruction-count draws), one stream per node:

@@ -38,7 +38,6 @@ LatencyHistogram::LatencyHistogram(int min_exp2, int max_exp2)
     : min_exp2_(min_exp2),
       max_exp2_(max_exp2),
       lo_(std::ldexp(1.0, min_exp2)),
-      hi_(std::ldexp(1.0, max_exp2)),
       bins_(static_cast<std::size_t>(max_exp2 - min_exp2) * kSubBuckets, 0) {
   CCSIM_CHECK(max_exp2 > min_exp2);
 }

@@ -72,7 +72,6 @@ class LatencyHistogram {
   int min_exp2_;
   int max_exp2_;
   double lo_;  // 2^min_exp2
-  double hi_;  // 2^max_exp2
   std::vector<std::uint64_t> bins_;
   std::uint64_t count_ = 0;
   std::uint64_t underflow_ = 0;

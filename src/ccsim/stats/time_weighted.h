@@ -28,8 +28,6 @@ class TimeWeighted {
   double Mean(sim::SimTime now) const;
 
   double current() const { return value_; }
-  /// Integral of the signal since the last reset, up to the last change.
-  double integral() const { return integral_; }
 
  private:
   double value_;

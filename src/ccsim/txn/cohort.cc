@@ -89,7 +89,6 @@ sim::Process CohortService::RunCohort(TxnPtr txn, int attempt,
       co_return;
   }
 
-  txn->cohort(cohort_index).ready = true;
   system_.network().Send(node, kHostNode, net::MsgTag::kCohortReady,
                          [this, txn, attempt, cohort_index] {
                            coord_->OnCohortReady(txn, attempt, cohort_index);

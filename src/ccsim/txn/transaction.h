@@ -63,7 +63,6 @@ const char* ToString(AbortReason reason);
 /// never set them twice, so the flags are inert there.
 struct CohortRuntime {
   bool load_sent = false;   // coordinator sent LOAD this attempt
-  bool ready = false;       // cohort reported READY this attempt
   bool abort_flag = false;  // ABORT processed at the cohort's node
   bool voted = false;           // cohort's PREPARE vote left the node
   bool decision_handled = false;  // cohort applied COMMIT/ABORT (dedupe)

@@ -50,6 +50,9 @@ TEST(ConfigValidate, RejectsBadMachine) {
   cfg = PaperBaseConfig();
   cfg.machine.max_disk_ms = 5;  // below min
   EXPECT_NE(cfg.Validate(), "");
+  cfg = PaperBaseConfig();
+  cfg.machine.disks_per_node = 64;  // a node's RNG stream band holds 63
+  EXPECT_NE(cfg.Validate(), "");
 }
 
 TEST(ConfigValidate, RejectsBadPlacement) {
@@ -74,6 +77,9 @@ TEST(ConfigValidate, RejectsBadWorkload) {
   EXPECT_NE(cfg.Validate(), "");
   cfg = PaperBaseConfig();
   cfg.workload.think_time_sec = -1;
+  EXPECT_NE(cfg.Validate(), "");
+  cfg = PaperBaseConfig();
+  cfg.run.rt_batch_size = 0;  // response-time batches must hold a sample
   EXPECT_NE(cfg.Validate(), "");
 }
 
@@ -144,7 +150,8 @@ TEST(ConfigFingerprint, SensitiveToEveryInterestingKnob) {
 
 TEST(ConfigFingerprint, DiagnosticKnobsDoNotKeyTheCache) {
   // The watchdog only decides whether a broken run dies loudly; arming it
-  // must not invalidate cached results (fp-exempt in params.h).
+  // must not invalidate cached results (see Fingerprint()'s RunParams
+  // binding).
   SystemConfig base = PaperBaseConfig();
   SystemConfig c = base;
   c.run.watchdog_max_events = 1000000000;

@@ -199,7 +199,7 @@ TEST(EngineIntegration, ResponsePercentilesAreOrdered) {
 TEST(EngineIntegrationDeathTest, InvalidConfigIsFatal) {
   auto cfg = SmallConfig(config::CcAlgorithm::kNoDc, 1.0);
   cfg.placement.degree = 3;
-  EXPECT_DEATH(RunSimulation(cfg), "degree");
+  EXPECT_DEATH(RunSimulation(cfg), "placement degree must divide");
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccsim/experiments/cache.h"
@@ -139,6 +141,78 @@ TEST(ResultCache, CommittedEntriesAreCurrentAndRoundTripByteForByte) {
     EXPECT_EQ(SerializeResult(*parsed), bytes.str()) << name;
   }
   EXPECT_GT(entries, 0);
+}
+
+TEST(ResultCache, FigureConfigsFindTheirCommittedEntries) {
+  // The committed cache is keyed by SystemConfig::Fingerprint(), so a
+  // changed hash would silently re-simulate every figure. One figure config
+  // per block that Fingerprint() mixes must find its committed entry. The
+  // entry is only checked for existence: Load renames what it cannot parse.
+  using config::CcAlgorithm;
+  using Cfg = config::SystemConfig;
+  const auto k2pl = CcAlgorithm::kTwoPhaseLocking;
+  const auto kOpt = CcAlgorithm::kOptimistic;
+  const auto kWw = CcAlgorithm::kWoundWait;
+  const auto kBandwidth = config::NetModel::kBandwidth;
+  auto with = [](Cfg cfg, void (*edit)(Cfg&)) {
+    edit(cfg);
+    return cfg;
+  };
+  // ApplyRunScale's default window, whatever CCSIM_QUICK or CCSIM_FULL say.
+  auto key = [](Cfg cfg) {
+    cfg.run.warmup_sec = 300;
+    cfg.run.measure_sec = 1500;
+    return cfg.Fingerprint();
+  };
+  const Cfg exp2 = Exp2Config(8, 300, k2pl, 4);
+  const std::pair<const char*, Cfg> committed[] = {
+      {"exp1", Exp1Config(8, k2pl, 8)},
+      {"exp1 one node", Exp1Config(1, kOpt, 0)},
+      {"faults", FaultConfig(k2pl, 8, 120)},
+      {"overload", OverloadConfig(k2pl, 7, /*admission=*/true)},
+      {"knee", KneeConfig(kWw, 256)},
+      {"bandwidth", WithNetModel(Exp1Config(8, k2pl, 8), kBandwidth)},
+      {"rdma", WithNetModel(Exp1Config(8, kOpt, 0), config::NetModel::kRdma)},
+      {"batching", with(Exp1Config(8, k2pl, 8),
+                        [](Cfg& c) { c.net.batching = true; })},
+      {"12.5 KB/s link",
+       with(WithNetModel(Exp2Config(8, 300, CcAlgorithm::kBasicTimestamp, 8),
+                         kBandwidth),
+            [](Cfg& c) { c.net.link_mbytes_per_sec = 0.0125; })},
+      {"2PL-TO timeout",
+       with(Exp2Config(8, 300, CcAlgorithm::kTwoPhaseLockingTimeout, 4),
+            [](Cfg& c) { c.locking.timeout_sec = 0.5; })},
+      {"queue jump", with(exp2, [](Cfg& c) { c.locking.queue_jump = true; })},
+      {"sequential", with(Exp2Config(8, 300, kWw, 16), [](Cfg& c) {
+         c.workload.classes[0].exec_pattern = config::ExecPattern::kSequential;
+       })},
+      {"write prob", with(exp2, [](Cfg& c) {
+         c.workload.classes[0].write_prob = 0.125;
+       })},
+      {"detection interval", with(exp2, [](Cfg& c) {
+         c.costs.deadlock_interval_sec = 0.25;
+       })},
+  };
+  const auto dir =
+      std::filesystem::path(CCSIM_SOURCE_DIR) / "ccsim_bench_cache";
+  for (const auto& [name, cfg] : committed) {
+    char file[64];
+    std::snprintf(file, sizeof(file), "v%d_%016llx.result",
+                  ResultCache::kFormatVersion,
+                  static_cast<unsigned long long>(key(cfg)));
+    EXPECT_TRUE(std::filesystem::exists(dir / file)) << name << ": " << file;
+  }
+
+  // Knobs that no committed entry sets: their fingerprints are pinned.
+  EXPECT_EQ(key(with(Exp1Config(8, k2pl, 8),
+                     [](Cfg& c) { c.run.enable_audit = true; })),
+            0x7903cd27a8a473e0ULL);
+  EXPECT_EQ(key(with(Exp1Config(8, kWw, 8),
+                     [](Cfg& c) { c.workload.fake_restarts = true; })),
+            0xd5f42242c9725243ULL);
+  EXPECT_EQ(key(with(Exp1Config(8, k2pl, 8),
+                     [](Cfg& c) { c.run.rt_batch_size = 50; })),
+            0x523c6e1d1ec781c3ULL);
 }
 
 TEST(ResultCache, MissThenHit) {

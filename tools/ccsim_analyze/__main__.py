@@ -16,7 +16,6 @@ Rule passes (each documented in its module):
     bare-assert, no-abort                 and the <random> ban in src/ only)
     unordered-iter       rules_unordered  every loop over a hash container
                                           (same four trees)
-    fingerprint          rules_fingerprint  config fields vs Fingerprint()
     coro-*               rules_coro       calendar-closure captures, raw
                                           resume, unsanctioned awaitables
     rng-stream           rules_rng        stream ids from the registry
@@ -40,7 +39,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import rules_alloc
 import rules_coro
-import rules_fingerprint
 import rules_rng
 import rules_tokens
 import rules_unordered
@@ -66,8 +64,6 @@ def analyze(root: str) -> list[Finding]:
     findings: list[Finding] = []
     findings += rules_tokens.run(files)
     findings += rules_unordered.run(files, root)
-    findings += rules_fingerprint.run(
-        os.path.join(src, "ccsim", "config"), root)
     findings += rules_coro.run(src_files)
     findings += rules_rng.run(
         src_files, os.path.join(src, "ccsim", "sim", "stream_ids.h"), root)

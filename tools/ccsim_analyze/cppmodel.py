@@ -1,20 +1,17 @@
 """Lightweight C++ source model shared by the ccsim_analyze rule passes.
 
-This is deliberately not a real C++ frontend. The rule passes need four
+This is deliberately not a real C++ frontend. The rule passes need three
 things a frontend would give us and a token scanner can approximate well
 enough for this codebase's style (clang-format'd, no macros that generate
 declarations, one class per header):
 
   * comment/string-stripped text with a position -> line mapping,
   * balanced-delimiter extents (call argument lists, brace bodies),
-  * struct/class member-field lists with declaration lines,
   * waiver annotations (`// ccsim-analyze: <tag>(<reason>)`).
 
 Where the approximation is wrong it is wrong toward *more* findings, and a
 finding can always be waived with a reasoned annotation; silent false
-negatives are the failure mode we spend effort avoiding (see the fingerprint
-pass, which resolves field names against the whole Fingerprint() body rather
-than trying to parse expressions).
+negatives are the failure mode we spend effort avoiding.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 import bisect
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -183,122 +180,6 @@ def split_args(text: str) -> list[str]:
     if cur and "".join(cur).strip():
         args.append("".join(cur))
     return args
-
-
-# --------------------------------------------------------------------------
-# Struct parsing.
-
-
-@dataclass
-class StructField:
-    name: str
-    type: str
-    line: int
-
-
-@dataclass
-class StructDef:
-    name: str
-    line: int
-    fields: list[StructField] = field(default_factory=list)
-
-
-_STRUCT_RE = re.compile(r"\b(?:struct|class)\s+([A-Za-z_]\w*)\s*(?:final\s*)?"
-                        r"(?::[^{;]*)?\{")
-
-_SKIP_STMT_PREFIXES = ("using ", "typedef ", "friend ", "static ",
-                       "static_assert", "template", "enum ", "struct ",
-                       "class ", "explicit ", "virtual ", "operator")
-
-
-def parse_structs(sf: SourceFile) -> dict[str, StructDef]:
-    """Member-variable declarations of every struct/class in the file.
-
-    Member functions, nested types, using-declarations and static members are
-    skipped. Default member initializers (including brace initializers) are
-    understood. Line numbers point at the declaration for waiver lookup."""
-    structs: dict[str, StructDef] = {}
-    for m in _STRUCT_RE.finditer(sf.text):
-        open_idx = m.end() - 1
-        close_idx = match_delim(sf.text, open_idx)
-        if close_idx < 0:
-            continue
-        sdef = StructDef(m.group(1), sf.line_of(m.start()))
-        _parse_fields(sf, open_idx + 1, close_idx, sdef)
-        structs[sdef.name] = sdef
-    return structs
-
-
-def _parse_fields(sf: SourceFile, start: int, end: int,
-                  sdef: StructDef) -> None:
-    text = sf.text
-    i = start
-    stmt: list[str] = []
-    stmt_start = -1
-    while i < end:
-        c = text[i]
-        if c in "([{":
-            close = match_delim(text, i)
-            if close < 0 or close > end:
-                return  # malformed; bail on this struct
-            if c == "{" and "=" not in "".join(stmt):
-                # Function body or nested type definition: discard the
-                # statement built so far (its declarator is not a field).
-                stmt = []
-                stmt_start = -1
-            else:
-                # Call-ish parens or a brace/paren initializer: keep as an
-                # opaque blob so inner commas/semicolons don't split us.
-                if stmt_start < 0:
-                    stmt_start = i
-                stmt.append(text[i:close + 1])
-            i = close + 1
-            continue
-        if c == ";":
-            _handle_stmt(sf, "".join(stmt), stmt_start, sdef)
-            stmt = []
-            stmt_start = -1
-            i += 1
-            continue
-        if stmt_start < 0 and not c.isspace():
-            stmt_start = i
-        stmt.append(c)
-        i += 1
-
-
-def _handle_stmt(sf: SourceFile, stmt: str, stmt_start: int,
-                 sdef: StructDef) -> None:
-    s = re.sub(r"\b(?:public|private|protected)\s*:", "", stmt).strip()
-    s = re.sub(r"^\s*(?:mutable|inline)\s+", "", s)
-    if not s or s.startswith(_SKIP_STMT_PREFIXES):
-        return
-    # Drop any initializer ('=' or trailing brace-init blob).
-    s = s.split("=", 1)[0].strip()
-    if "(" in s or not s:
-        return  # function declaration / constructor
-    s = re.sub(r"\{.*\}$", "", s).strip()
-    m = re.match(r"(.+?)[\s&*]([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?$", s, re.S)
-    if not m:
-        return
-    type_str = re.sub(r"\s+", " ", m.group(1)).strip()
-    name = m.group(2)
-    line = sf.line_of(stmt_start) if stmt_start >= 0 else sdef.line
-    sdef.fields.append(StructField(name, type_str, line))
-
-
-def function_body(sf: SourceFile, signature_re: str) -> tuple[str, int] | None:
-    """(body_text, body_start_idx) of the first function whose definition
-    matches `signature_re` in the stripped text, or None."""
-    m = re.search(signature_re, sf.text)
-    if not m:
-        return None
-    brace = sf.text.find("{", m.end())
-    if brace < 0:
-        return None
-    close = match_delim(sf.text, brace)
-    if close < 0:
-        return None
-    return sf.text[brace + 1:close], brace + 1
 
 
 # --------------------------------------------------------------------------

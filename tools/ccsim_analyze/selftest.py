@@ -15,7 +15,6 @@ from collections import Counter
 
 import rules_alloc
 import rules_coro
-import rules_fingerprint
 import rules_rng
 import rules_tokens
 import rules_unordered
@@ -81,13 +80,6 @@ def run(root: str) -> int:
     s.expect("unordered/sinks",
              tokens(os.path.join(fx, "unordered_sinks.cc")),
              {"unordered-iter": 4})
-
-    # --- fingerprint ------------------------------------------------------
-    s.expect("fingerprint/bad",
-             rules_fingerprint.run(os.path.join(fx, "fp_bad"), root),
-             {"fingerprint": 3, "empty-annotation": 1})
-    s.expect("fingerprint/clean",
-             rules_fingerprint.run(os.path.join(fx, "fp_clean"), root), {})
 
     # --- coroutine lifetimes ----------------------------------------------
     s.expect("coro/bad",
