@@ -34,6 +34,12 @@ class Hasher {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+// Tags mixed ahead of knobs that are mixed only when set: their names, as
+// ASCII.
+constexpr std::uint64_t kFakeRestartsTag = 0x66616b655f727374ULL;  // fake_rst
+constexpr std::uint64_t kRtBatchSizeTag = 0x72745f6261746368ULL;   // rt_batch
+constexpr std::uint64_t kEnableAuditTag = 0x61756469745f6f6eULL;   // audit_on
+
 }  // namespace
 
 std::string SystemConfig::Validate() const {
@@ -186,17 +192,28 @@ std::uint64_t SystemConfig::Fingerprint() const {
   h.Mix(think_time_sec);
   // Later-added optional knobs are mixed only when they deviate from their
   // defaults, so fingerprints of existing configurations stay stable across
-  // releases (the bench result cache keys on them).
-  if (fake_restarts) h.Mix(fake_restarts);
+  // releases (the bench result cache keys on them). Each of the three below
+  // goes in behind a tag of its own, so that equal values of two of them
+  // (say, fake restarts on and the audit on) do not hash alike.
+  if (fake_restarts) {
+    h.Mix(kFakeRestartsTag);
+    h.Mix(fake_restarts);
+  }
   if (algorithm == CcAlgorithm::kTwoPhaseLockingTimeout) h.Mix(timeout_sec);
   // rt_batch_size changes rt_ci_half_width, so it must key the cache too.
-  if (rt_batch_size != RunParams{}.rt_batch_size) h.Mix(rt_batch_size);
+  if (rt_batch_size != RunParams{}.rt_batch_size) {
+    h.Mix(kRtBatchSizeTag);
+    h.Mix(rt_batch_size);
+  }
   // enable_audit never perturbs the event stream, but it changes what the
   // result *reports* (audited/serializable), so an audit run must not be
   // served a cached non-audit result or vice versa. Mixed only when set:
   // every committed cache entry was produced with the audit off and keeps
   // its fingerprint.
-  if (enable_audit) h.Mix(enable_audit);
+  if (enable_audit) {
+    h.Mix(kEnableAuditTag);
+    h.Mix(enable_audit);
+  }
   // Fault injection: mixed only when active, so every fault-free config
   // keeps its pre-fault fingerprint (and cached result).
   if (faults.any()) {

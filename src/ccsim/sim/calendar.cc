@@ -1,5 +1,6 @@
 #include "ccsim/sim/calendar.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -35,6 +36,7 @@ std::uint32_t Calendar::AllocSlot() {
   }
   CCSIM_CHECK_MSG(slots_.size() < kMaxSlots, "calendar slot slab exhausted");
   slots_.emplace_back();
+  pending_seq_.push_back(0);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -42,8 +44,8 @@ void Calendar::FreeSlot(std::uint32_t index) {
   Slot& s = slots_[index];
   s.fn.Reset();
   s.resume = nullptr;
-  s.pending_seq = 0;  // kills this slot's bucket entry (lazy deletion)
-  ++s.gen;            // invalidates every outstanding id for this slot
+  pending_seq_[index] = 0;  // kills this slot's queue entry (lazy deletion)
+  ++s.gen;                  // invalidates every outstanding id for this slot
   s.next_free = free_head_;
   free_head_ = index;
 }
@@ -69,17 +71,16 @@ void Calendar::ShapeRung(Rung& r, SimTime base, double width,
   r.occupied.assign((nbuckets + 63) >> 6, 0);
 }
 
-std::uint32_t Calendar::InsertIntoRung(Rung& r, Entry e) {
+void Calendar::InsertIntoRung(Rung& r, Entry e) {
   std::uint32_t b = BucketIndex(r, e.time);
   std::vector<Entry>& bucket = r.buckets[b];
   if (bucket.empty()) SetBit(r, b);
   bucket.push_back(e);
   ++r.count;
   if (b < r.cur) r.cur = b;
-  return b;
 }
 
-std::int64_t Calendar::Place(Entry e) {
+void Calendar::Place(Entry e) {
   const SimTime t = e.time;
   if (depth_ == 0) {
     // The ladder is empty; any pending events are all in overflow. If the
@@ -93,7 +94,8 @@ std::int64_t Calendar::Place(Entry e) {
         r0.horizon <= top_min_) {
       CCSIM_DCHECK(r0.count == 0);
       depth_ = 1;
-      return InsertIntoRung(r0, e);
+      InsertIntoRung(r0, e);
+      return;
     }
     // Otherwise open a fresh bottom rung at the current time — sized by the
     // recent inter-fire gap, and never reaching past the earliest overflow
@@ -104,18 +106,20 @@ std::int64_t Calendar::Place(Entry e) {
     if (t >= horizon) {
       top_.push_back(e);
       if (t < top_min_) top_min_ = t;
-      return -1;
+      return;
     }
     Rung& r = rungs_[0];
     ShapeRung(r, last_fired_, width, kDefaultBuckets);
     r.horizon = horizon;
     depth_ = 1;
-    return InsertIntoRung(r, e);
+    InsertIntoRung(r, e);
+    return;
   }
   Rung& deepest = rungs_[depth_ - 1];
   if (t < deepest.horizon) {
     if (t >= deepest.base) {
-      return InsertIntoRung(deepest, e);
+      InsertIntoRung(deepest, e);
+      return;
     }
     // The event precedes the deepest refinement — possible only at the
     // deepest rung, since every rung's base is covered by the rung below
@@ -129,18 +133,18 @@ std::int64_t Calendar::Place(Entry e) {
     ShapeRung(under, last_fired_, width, kDefaultBuckets);
     under.horizon = bound;
     ++depth_;
-    return InsertIntoRung(under, e);
+    InsertIntoRung(under, e);
+    return;
   }
   for (std::size_t d = depth_ - 1; d-- > 0;) {
     Rung& r = rungs_[d];
     if (t < r.horizon) {
       InsertIntoRung(r, e);
-      return -1;  // not the deepest rung: never a head location
+      return;
     }
   }
   top_.push_back(e);
   if (t < top_min_) top_min_ = t;
-  return -1;
 }
 
 void Calendar::Rebase() {
@@ -182,6 +186,20 @@ void Calendar::Rebase() {
   depth_ = 1;
 }
 
+bool Calendar::OpenChildRung(SimTime lo, SimTime hi) {
+  if (lo == hi) return false;             // all ties: taken in seq order
+  if (depth_ >= kMaxRungs) return false;  // pathological depth: degrade
+  double width = std::max((hi - lo) / static_cast<double>(kChildBuckets),
+                          kMinWidth);
+  Rung& child = rungs_[depth_];
+  ShapeRung(child, lo, width, kChildBuckets);
+  // Exact horizon: events later than hi belong to the span being refined,
+  // and must not be captured by the child.
+  child.horizon = NextUp(hi);
+  ++depth_;
+  return true;
+}
+
 bool Calendar::SplitBucket(Rung& r, std::uint32_t b) {
   std::vector<Entry>& bucket = r.buckets[b];
   SimTime lo = bucket[0].time;
@@ -190,16 +208,8 @@ bool Calendar::SplitBucket(Rung& r, std::uint32_t b) {
     if (e.time < lo) lo = e.time;
     if (e.time > hi) hi = e.time;
   }
-  if (lo == hi) return false;             // all ties: a scan fires them in seq order
-  if (depth_ >= kMaxRungs) return false;  // pathological depth: degrade to scans
-  double width = std::max((hi - lo) / static_cast<double>(kChildBuckets),
-                          kMinWidth);
-  Rung& child = rungs_[depth_];
-  ShapeRung(child, lo, width, kChildBuckets);
-  // Exact horizon: events later than hi belong to this parent bucket's
-  // remaining span, and must not be captured by the child.
-  child.horizon = NextUp(hi);
-  ++depth_;
+  if (!OpenChildRung(lo, hi)) return false;
+  Rung& child = rungs_[depth_ - 1];
   for (const Entry& e : bucket) InsertIntoRung(child, e);
   r.count -= bucket.size();
   if (&r == &rungs_[0]) {
@@ -218,7 +228,7 @@ bool Calendar::SplitBucket(Rung& r, std::uint32_t b) {
 }
 
 std::size_t Calendar::bucket_capacity() const {
-  std::size_t total = 0;
+  std::size_t total = bottom_.capacity();
   for (const Rung& r : rungs_) {
     for (const std::vector<Entry>& bucket : r.buckets) {
       total += bucket.capacity();
@@ -239,13 +249,14 @@ std::uint32_t Calendar::FirstOccupied(const Rung& r) const {
   return static_cast<std::uint32_t>((w << 6) + std::countr_zero(word));
 }
 
-bool Calendar::RefreshHead(Head* head) {
+// ccsim-analyze: hot-path(runs whenever the bottom list drains; amortized O(1) per event)
+bool Calendar::Refill() {
+  CCSIM_DCHECK(bottom_.empty() && bottom_head_ == 0);
   for (;;) {
     while (depth_ > 0 && rungs_[depth_ - 1].count == 0) --depth_;
     if (depth_ == 0) {
       if (top_.empty()) {
         next_time_ = kNever;
-        head_valid_ = false;
         return false;
       }
       Rebase();
@@ -255,7 +266,7 @@ bool Calendar::RefreshHead(Head* head) {
     std::uint32_t b = FirstOccupied(r);
     r.cur = b;
     std::vector<Entry>& bucket = r.buckets[b];
-    // Compact lazily-cancelled entries out of the current bucket.
+    // Compact lazily-cancelled entries out of the bucket.
     for (std::size_t i = 0; i < bucket.size();) {
       if (EntryLive(bucket[i])) {
         ++i;
@@ -272,91 +283,130 @@ bool Calendar::RefreshHead(Head* head) {
       continue;
     }
     if (bucket.size() > kSplitMax && SplitBucket(r, b)) continue;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < bucket.size(); ++i) {
-      if (Earlier(bucket[i], bucket[best])) best = i;
+    if (bucket.size() <= kSplitMax) {
+      // Insertion-sorted as it is copied: for a bucket this small that
+      // beats a copy and a sort call (most hold one or two entries).
+      for (const Entry& e : bucket) {
+        std::size_t i = bottom_.size();
+        bottom_.push_back(e);
+        for (; i > 0 && Earlier(e, bottom_[i - 1]); --i) {
+          bottom_[i] = bottom_[i - 1];
+        }
+        bottom_[i] = e;
+      }
+    } else {
+      bottom_.assign(bucket.begin(), bucket.end());
+      std::sort(bottom_.begin(), bottom_.end(), Earlier);
     }
-    next_time_ = bucket[best].time;
-    if (head != nullptr) {
-      head->rung = depth_ - 1;
-      head->bucket = b;
-      head->index = best;
-      head_valid_ = (head == &head_);
+    r.count -= bucket.size();
+    // A bucket keeps small storage for its next visit. Storage past twice
+    // the list's spill bound was grown by a burst and would sit idle.
+    if (bucket.capacity() > 2 * kBottomMax) {
+      std::vector<Entry>().swap(bucket);
+    } else {
+      bucket.clear();
     }
+    ClearBit(r, b);
+    next_time_ = bottom_.front().time;
     return true;
   }
 }
 
-void Calendar::RemoveAt(const Head& head) {
-  Rung& r = rungs_[head.rung];
-  std::vector<Entry>& bucket = r.buckets[head.bucket];
-  bucket[head.index] = bucket.back();
-  bucket.pop_back();
-  --r.count;
-  if (bucket.empty()) ClearBit(r, head.bucket);
+// ccsim-analyze: hot-path(every pop and every cancel at the head time runs it)
+void Calendar::SettleFront() {
+  while (bottom_head_ < bottom_.size() &&
+         !EntryLive(bottom_[bottom_head_])) {
+    ++bottom_head_;
+    CCSIM_DCHECK(dead_ > 0);
+    --dead_;
+  }
+  if (bottom_head_ < bottom_.size()) {
+    next_time_ = bottom_[bottom_head_].time;
+    return;
+  }
+  bottom_.clear();
+  bottom_head_ = 0;
+  if (live_ == 0 && dead_ == 0) {
+    // Every bucket and the overflow list are empty (each physical entry is
+    // live or cancelled-pending-compaction): skip the refill walk. Collapse
+    // the stack so the next schedule can revive or re-anchor the bottom
+    // rung — keeping a drained refinement rung active would shrink the
+    // routing horizon to its sliver of time and overflow everything after
+    // it.
+    depth_ = 0;
+    next_time_ = kNever;
+    return;
+  }
+  Refill();
+}
+
+// ccsim-analyze: hot-path(a schedule no later than the bottom list's last entry)
+void Calendar::InsertIntoBottom(Entry e) {
+  std::size_t pending = bottom_.size() - bottom_head_;
+  if (bottom_head_ >= pending && bottom_.size() == bottom_.capacity()) {
+    // Reuse the popped prefix instead of growing: each popped entry pays
+    // for at most one move here, and storage stays within twice the
+    // pending count.
+    bottom_.erase(bottom_.begin(),
+                  bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_));
+    bottom_head_ = 0;
+  }
+  // The new entry has the largest seq issued so far, so it goes behind
+  // every entry at its time.
+  bottom_.push_back(e);
+  std::size_t i = bottom_.size() - 1;
+  while (i > bottom_head_ && e.time < bottom_[i - 1].time) {
+    bottom_[i] = bottom_[i - 1];
+    --i;
+  }
+  bottom_[i] = e;
+  if (i == bottom_head_) next_time_ = e.time;
+  if (pending + 1 <= kBottomMax) return;
+  // Too long to keep inserting into: spill it into a child rung spanning
+  // its times, exactly as an oversized bucket splits, and refill from it.
+  if (!OpenChildRung(bottom_[bottom_head_].time, bottom_.back().time)) return;
+  Rung& child = rungs_[depth_ - 1];
+  for (std::size_t k = bottom_head_; k < bottom_.size(); ++k) {
+    if (EntryLive(bottom_[k])) {
+      InsertIntoRung(child, bottom_[k]);
+    } else {
+      CCSIM_DCHECK(dead_ > 0);
+      --dead_;
+    }
+  }
+  bottom_.clear();
+  bottom_head_ = 0;
+  Refill();
+}
+
+std::uint32_t Calendar::ClaimSlot(SimTime time) {
+  CCSIM_CHECK_MSG(time == time, "event scheduled at NaN time");
+  CCSIM_CHECK_MSG(time < kNever, "event scheduled at infinite time");
+  CCSIM_CHECK_MSG(time >= last_fired_, "event scheduled in the simulated past");
+  return AllocSlot();
 }
 
 Calendar::EventId Calendar::ScheduleSlot(SimTime time, std::uint32_t slot) {
   CCSIM_CHECK_MSG(next_seq_ < kMaxSeq, "calendar event seq space exhausted");
   std::uint64_t seq = next_seq_++;
   Slot& s = slots_[slot];
-  s.pending_seq = seq;
+  pending_seq_[slot] = seq;
   s.time = time;
   Entry e{time, (seq << kSlotBits) | slot};
-  if (live_ == 0 && dead_ == 0) {
-    solo_ = e;
-    solo_valid_ = true;
+  if (live_ == 0) {
+    // An empty calendar (a pop or cancel that leaves no live event drains
+    // every cancelled entry too): the event is the whole bottom list.
+    CCSIM_DCHECK(bottom_.empty() && dead_ == 0 && depth_ == 0);
+    bottom_.push_back(e);
     next_time_ = time;
-    ++live_;
-    MaybeAudit();
-    return MakeId(s.gen, slot);
-  }
-  if (solo_valid_) {
-    // A second event arrived: demote the parked one into the ladder. It is
-    // the current minimum over an otherwise-empty ladder, so its location
-    // (when it lands in a rung) is the head.
-    solo_valid_ = false;
-    std::int64_t sb = Place(solo_);
-    if (sb >= 0) {
-      const Rung& r = rungs_[depth_ - 1];
-      head_ = Head{depth_ - 1, static_cast<std::uint32_t>(sb),
-                   r.buckets[static_cast<std::uint32_t>(sb)].size() - 1};
-      head_valid_ = true;
-    } else {
-      head_valid_ = false;
-    }
-  }
-  std::int64_t b = Place(e);
-  if (time < next_time_) {
-    next_time_ = time;
-    // A strict undercut of the exact previous minimum is the unique live
-    // minimum, so if it landed in the deepest rung it IS the head — point
-    // the cache at it (it was just pushed, so it sits at the bucket's back).
-    // Anywhere else (overflow, or an outer rung when the deepest holds only
-    // cancelled entries), fall back to a re-locate on the next pop.
-    if (b >= 0) {
-      const Rung& r = rungs_[depth_ - 1];
-      head_ = Head{depth_ - 1, static_cast<std::uint32_t>(b),
-                   r.buckets[static_cast<std::uint32_t>(b)].size() - 1};
-      head_valid_ = true;
-    } else {
-      head_valid_ = false;
-    }
+  } else if (time <= bottom_.back().time) {
+    InsertIntoBottom(e);
+  } else {
+    Place(e);
   }
   ++live_;
   MaybeAudit();
   return MakeId(s.gen, slot);
-}
-
-// ccsim-analyze: hot-path(every timed action in the simulation funnels here)
-Calendar::EventId Calendar::Schedule(SimTime time, EventFn fn) {
-  CCSIM_CHECK_MSG(time == time, "event scheduled at NaN time");
-  CCSIM_CHECK_MSG(time < kNever, "event scheduled at infinite time");
-  CCSIM_CHECK_MSG(time >= last_fired_, "event scheduled in the simulated past");
-  CCSIM_CHECK_MSG(static_cast<bool>(fn), "event scheduled with empty handler");
-  std::uint32_t slot = AllocSlot();
-  slots_[slot].fn = std::move(fn);
-  return ScheduleSlot(time, slot);
 }
 
 // ccsim-analyze: hot-path(every coroutine wakeup funnels here)
@@ -384,7 +434,7 @@ bool Calendar::Cancel(EventId id) {
   std::uint32_t slot = static_cast<std::uint32_t>(id);
   std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= slots_.size() || slots_[slot].gen != gen ||
-      slots_[slot].pending_seq == 0) {
+      pending_seq_[slot] == 0) {
     return false;
   }
   CCSIM_CHECK_MSG(slots_[slot].resume == nullptr,
@@ -393,84 +443,58 @@ bool Calendar::Cancel(EventId id) {
   FreeSlot(slot);
   CCSIM_CHECK(live_ > 0);
   --live_;
-  if (solo_valid_ && solo_.slot() == slot) {
-    // The register holds the only copy of this event; drop it outright.
-    solo_valid_ = false;
-    next_time_ = kNever;
-    CCSIM_DCHECK(live_ == 0 && dead_ == 0);
-  } else {
-    // The bucket entry goes stale and is compacted on the next scan.
-    // Cancelling a non-head event leaves the cached head untouched (removal
-    // is lazy, so bucket indices are stable); cancelling at the head time
-    // forces a re-locate to keep next_time_ exact.
-    ++dead_;
-    if (time == next_time_) RefreshHead(&head_);
-  }
+  // The queue entry goes stale and is dropped when it is reached. An event
+  // at the head time sits in the bottom list and may be its front, which
+  // must stay live.
+  ++dead_;
+  if (time == next_time_) SettleFront();
   MaybeAudit();
   return true;
 }
 
-bool Calendar::LadderHeadPrecedesLane() {
-  // next_time_ is the exact ladder minimum and never below last_fired_, so a
-  // ladder head that is not at the lane's time is later (or absent).
-  if (next_time_ != last_fired_) return false;
-  std::uint64_t seq;
-  if (solo_valid_) {
-    seq = solo_.seq();
-  } else {
-    if (!head_valid_) RefreshHead(&head_);
-    seq = rungs_[head_.rung].buckets[head_.bucket][head_.index].seq();
-  }
-  return seq < lane_[lane_head_].seq;
-}
-
 // ccsim-analyze: hot-path(the event-loop dequeue; runs once per event)
-std::optional<Calendar::Fired> Calendar::PopNext() {
-  if (!lane_.empty() && !LadderHeadPrecedesLane()) {
+bool Calendar::Pop(Fired* out) {
+  // The lane front wins unless the list front ties it at last_fired_ with a
+  // smaller seq. next_time_ is the exact ladder minimum and never below
+  // last_fired_, so a ladder that is empty or later loses.
+  if (!lane_.empty() &&
+      (next_time_ != last_fired_ ||
+       bottom_[bottom_head_].seq() > lane_[lane_head_].seq)) {
     const LaneEntry& le = lane_[lane_head_];
-    Fired fired{last_fired_, EventKind::kResume, EventFn(), le.resume,
-                le.token};
+    out->time = last_fired_;
+    out->kind = EventKind::kResume;
+    out->fn.Reset();
+    out->resume = le.resume;
+    out->token = le.token;
     if (++lane_head_ == lane_.size()) {
       lane_.clear();
       lane_head_ = 0;
     }
     MaybeAudit();
-    return fired;
+    return true;
   }
-  Entry e;
-  if (solo_valid_) {
-    e = solo_;
-    solo_valid_ = false;  // the register held the only copy
-  } else {
-    if (!head_valid_ && !RefreshHead(&head_)) return std::nullopt;
-    e = rungs_[head_.rung].buckets[head_.bucket][head_.index];
-    RemoveAt(head_);
-  }
+  if (live_ == 0) return false;
+  const Entry e = bottom_[bottom_head_++];
   Slot& s = slots_[e.slot()];
-  CCSIM_DCHECK_MSG(s.pending_seq == e.seq(), "calendar head was not live");
-  Fired fired{e.time,
-              s.resume != nullptr ? EventKind::kResume : EventKind::kHandler,
-              std::move(s.fn), s.resume, s.token};
+  CCSIM_DCHECK_MSG(EntryLive(e), "bottom list front was not live");
+  out->time = e.time;
+  if (s.resume != nullptr) {
+    out->kind = EventKind::kResume;
+    out->fn.Reset();
+    out->resume = s.resume;
+    out->token = s.token;
+  } else {
+    out->kind = EventKind::kHandler;
+    out->fn = std::move(s.fn);
+  }
   FreeSlot(e.slot());
   --live_;
   CCSIM_DCHECK_MSG(e.time >= last_fired_, "simulated time ran backwards");
   if (e.time > last_fired_) last_gap_ = e.time - last_fired_;
   last_fired_ = e.time;
-  if (live_ == 0 && dead_ == 0) {
-    // Every bucket and the overflow list are empty (each physical entry is
-    // live or cancelled-pending-compaction): skip the locate walk. Collapse
-    // the stack so the next schedule can revive or re-anchor the bottom
-    // rung — keeping a drained refinement rung active would shrink the
-    // routing horizon to its sliver of time and overflow everything after
-    // it.
-    depth_ = 0;
-    next_time_ = kNever;
-    head_valid_ = false;
-  } else {
-    RefreshHead(&head_);
-  }
+  SettleFront();
   MaybeAudit();
-  return fired;
+  return true;
 }
 
 void Calendar::MaybeAudit() {
@@ -549,14 +573,28 @@ void Calendar::AuditInvariants() const {
     }
     check_entry(e);
   }
-  if (solo_valid_) {
-    // The register only ever holds the sole pending event, with the ladder
-    // and overflow drained.
-    CCSIM_DCHECK_MSG(live_seen == 0 && dead_seen == 0 && top_.empty(),
-                     "solo register active over a non-empty ladder");
-    CCSIM_DCHECK_MSG(!head_valid_, "cached head alongside the solo register");
-    check_entry(solo_);
-    CCSIM_DCHECK_MSG(EntryLive(solo_), "solo register holds a dead event");
+  // The bottom list: pending entries sorted by (time, seq), a live front
+  // whenever a live ladder event exists, reset when drained, and strictly
+  // earlier than every live rung and overflow event (checked against the
+  // minimum gathered above, before the list's own entries join it).
+  const std::size_t pending = bottom_.size() - bottom_head_;
+  CCSIM_DCHECK_MSG(bottom_head_ < bottom_.size() || bottom_head_ == 0,
+                   "drained bottom list was not reset");
+  CCSIM_DCHECK_MSG((pending > 0) == (live_ > 0),
+                   "bottom list empty while live events are pending, or "
+                   "the reverse");
+  if (pending > 0) {
+    CCSIM_DCHECK_MSG(EntryLive(bottom_[bottom_head_]),
+                     "bottom list front is not live");
+    CCSIM_DCHECK_MSG(true_min > bottom_.back().time,
+                     "ladder event no later than the bottom list's last");
+  }
+  for (std::size_t i = bottom_head_; i < bottom_.size(); ++i) {
+    if (i > bottom_head_) {
+      CCSIM_DCHECK_MSG(Earlier(bottom_[i - 1], bottom_[i]),
+                       "bottom list out of (time, seq) order");
+    }
+    check_entry(bottom_[i]);
   }
   // The lane: pending entries in strictly increasing issued seqs (its FIFO
   // order is the (time, seq) order), each with a handle, reset when drained.
@@ -578,16 +616,9 @@ void Calendar::AuditInvariants() const {
                    "cancelled-entry count out of sync with the calendar");
   CCSIM_DCHECK_MSG(next_time_ == true_min,
                    "cached next-time out of sync with the true minimum");
-  if (head_valid_) {
-    CCSIM_DCHECK_MSG(head_.rung == depth_ - 1,
-                     "cached head does not point at the deepest rung");
-    const Rung& r = rungs_[head_.rung];
-    CCSIM_DCHECK_MSG(head_.bucket < r.nbuckets &&
-                         head_.index < r.buckets[head_.bucket].size(),
-                     "cached head location out of range");
-    const Entry& e = r.buckets[head_.bucket][head_.index];
-    CCSIM_DCHECK_MSG(EntryLive(e) && e.time == next_time_ && e.key == min_key,
-                     "cached head is not the earliest live event");
+  if (pending > 0) {
+    CCSIM_DCHECK_MSG(bottom_[bottom_head_].key == min_key,
+                     "bottom list front is not the earliest live event");
   }
   // The free list and the live slots partition the slab; free slots hold no
   // event payload.
@@ -595,7 +626,7 @@ void Calendar::AuditInvariants() const {
   for (std::uint32_t i = free_head_; i != kNilSlot; i = slots_[i].next_free) {
     CCSIM_DCHECK_MSG(i < slots_.size(), "free list points outside the slab");
     CCSIM_DCHECK_MSG(live_slots.count(i) == 0, "live slot on the free list");
-    CCSIM_DCHECK_MSG(slots_[i].pending_seq == 0,
+    CCSIM_DCHECK_MSG(pending_seq_[i] == 0,
                      "freed slot still claims a pending event");
     CCSIM_DCHECK_MSG(!static_cast<bool>(slots_[i].fn) &&
                          slots_[i].resume == nullptr,

@@ -3,9 +3,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "ccsim/sim/check.h"
 #include "ccsim/sim/event_fn.h"
 #include "ccsim/sim/time.h"
 
@@ -28,29 +30,35 @@ enum class EventKind : std::uint8_t {
 /// generation, so a stale id (cancel after fire, cancel after cancel) is
 /// rejected by a single array lookup — no hash table, and steady-state
 /// operation performs no allocation at all (the slab, buckets, and rung
-/// structures grow to their high-water marks and are then reused).
+/// structures grow to their high-water marks and are then reused). Schedule
+/// constructs a handler in its slot, and Pop moves it once, into the
+/// caller's Fired record.
 ///
 /// The pending set itself is a ladder of time-bucketed rungs (a calendar
 /// queue in the Brown / ladder-queue tradition) rather than a comparison
-/// heap: events are scattered into buckets by time, the current bucket is
-/// scanned for its exact (time, seq) minimum, and oversized buckets split
-/// into finer child rungs on demand. Because simulated time only moves
-/// forward, pops are amortized O(1) — each event is touched a small constant
-/// number of times on its way from insertion to firing — where a binary heap
-/// pays O(log n) comparisons and, for deep queues, a cache miss per level.
-/// Far-future events beyond the rung horizon sit in an unsorted overflow
-/// list that is drained into a fresh rung when the ladder runs dry.
-/// Cancellation is lazy: a cancelled event's bucket entry stays put (its seq
-/// no longer matches the slot) and is dropped when its bucket is next
-/// scanned. The exact next event time is cached on every mutation, so
-/// NextTime() is a pure read.
+/// heap: events are scattered into buckets by time, and oversized buckets
+/// split into finer child rungs on demand. The earliest bucket is copied
+/// into the bottom list (the ladder queue's "Bottom", Tang, Goh and Thng,
+/// ACM TOMACS 2005), sorted once by (time, seq) and popped from its front.
+/// Every rung and overflow event is strictly later than the list's last
+/// entry, so a schedule no later than that goes into the list by sorted
+/// insertion from the back, and a list that grows past kBottomMax spills
+/// into a child rung. Because simulated time only moves forward, pops are
+/// amortized O(1) — each event is touched a small constant number of times
+/// on its way from insertion to firing — where a binary heap pays O(log n)
+/// comparisons and, for deep queues, a cache miss per level. Far-future
+/// events beyond the rung horizon sit in an unsorted overflow list that is
+/// drained into a fresh rung when the ladder runs dry. Cancellation is lazy:
+/// a cancelled event's entry stays put (its seq no longer matches the slot)
+/// and is dropped when its bucket is drained or it reaches the list front.
+/// The list front is always live, so NextTime() is a pure read.
 ///
 /// Same-time lane: a wakeup scheduled at the time of the last fired event —
 /// every Completion wakeup, half of all events in a paper-shaped run — skips
 /// the slab and the ladder and is appended to a FIFO lane of (seq, handle,
 /// token) records. The merge stays exact: every lane entry has time
 /// last_fired_, seqs are issued in increasing order so the lane is sorted,
-/// and a lane front loses only to a ladder head at that same time with a
+/// and a lane front loses only to a list front at that same time with a
 /// smaller seq. A later ladder event never wins while the lane is non-empty,
 /// so last_fired_ cannot advance past a lane entry and the pop sequence is
 /// the same (time, seq) order a single queue would give.
@@ -63,7 +71,6 @@ class Calendar {
   /// (generation << 32) | slot index. Never 0 for an issued event.
   using EventId = std::uint64_t;
   static constexpr EventId kInvalidEventId = 0;
-  using Handler = EventFn;
 
   /// Capacity limits implied by the packed bucket-entry layout (seq and slot
   /// index share one 64-bit word). Exceeding either is a fatal error:
@@ -73,9 +80,11 @@ class Calendar {
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
   static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
 
+  /// A popped event. Pop fills a record the caller keeps, so a handler is
+  /// moved once on its way out of the calendar and runs from the record.
   struct Fired {
-    SimTime time;
-    EventKind kind;
+    SimTime time = 0.0;
+    EventKind kind = EventKind::kHandler;
     EventFn fn;                      // engaged iff kind == kHandler
     std::coroutine_handle<> resume;  // valid  iff kind == kResume
     std::uint32_t token = 0;         // the wakeup's registry token (kResume)
@@ -85,9 +94,11 @@ class Calendar {
   Calendar(const Calendar&) = delete;
   Calendar& operator=(const Calendar&) = delete;
 
-  /// Schedules `fn` to fire at absolute time `time`. Returns an id that can
-  /// be used to cancel the event before it fires.
-  EventId Schedule(SimTime time, EventFn fn);
+  /// Schedules `fn` (a callable, or an EventFn moved in) to fire at absolute
+  /// time `time`. The callable is constructed in its slot. Returns an id
+  /// that can be used to cancel the event before it fires.
+  template <typename F>
+  EventId Schedule(SimTime time, F&& fn);
 
   /// Schedules a coroutine wakeup at absolute time `time`; `token` is handed
   /// back in the Fired record. The calendar does not own the coroutine frame;
@@ -103,8 +114,10 @@ class Calendar {
   /// generation tag makes this safe even after the slot was recycled).
   bool Cancel(EventId id);
 
-  /// Removes and returns the earliest pending event, or nullopt if none.
-  std::optional<Fired> PopNext();
+  /// Removes the earliest pending event into `*out` and returns true, or
+  /// returns false if none is pending. A handler is moved into `out->fn`
+  /// (any callable `out` still held is destroyed first).
+  bool Pop(Fired* out);
 
   /// Time of the earliest pending event, or kNever if the calendar is empty.
   /// Pure read: the value is kept exact across every mutation.
@@ -122,14 +135,16 @@ class Calendar {
   /// Capacity diagnostics: slots ever allocated (high-water mark of
   /// concurrently pending ladder events).
   std::size_t slot_capacity() const { return slots_.size(); }
-  /// Entries the rung buckets keep storage for, occupied or not. Bounded by
-  /// the pending events and the rung pool, not by simulated time.
+  /// Entries the rung buckets and the bottom list keep storage for, occupied
+  /// or not. Bounded by the pending events and the rung pool, not by
+  /// simulated time.
   std::size_t bucket_capacity() const;
 
   /// Audit-mode sweep: every bucket entry sits in the bucket its time maps
   /// to, occupancy bitmaps and counts match bucket contents, live entries
   /// and free-listed slots partition the slab, no live event is earlier than
-  /// the last one fired, the cached next-time equals the true minimum, and
+  /// the last one fired, the bottom list is sorted with a live front that is
+  /// the true minimum and precedes every live rung and overflow event, and
   /// the lane holds non-null handles in strictly increasing issued seqs.
   /// No-op unless built with CCSIM_AUDIT; throttled internally because it is
   /// O(pending events).
@@ -140,18 +155,21 @@ class Calendar {
   // Ladder geometry. kDefaultBuckets bounds a fresh rung's bucket count;
   // kMaxBuckets bounds the rebase rung (load factor count/kMaxBuckets, with
   // oversized buckets split on demand); buckets longer than kSplitMax split
-  // into a kChildBuckets-wide child rung; kMaxRungs is a hard recursion
+  // into a kChildBuckets-wide child rung, and so does a bottom list holding
+  // more than kBottomMax pending entries; kMaxRungs is a hard recursion
   // backstop far above any realistic refinement depth.
   static constexpr std::uint32_t kDefaultBuckets = 1024;
   static constexpr std::uint32_t kMinBuckets = 64;
   static constexpr std::uint32_t kMaxBuckets = 4096;
   static constexpr std::uint32_t kChildBuckets = 64;
   static constexpr std::size_t kSplitMax = 8;
+  static constexpr std::size_t kBottomMax = 32;
   static constexpr std::size_t kMaxRungs = 48;
 
-  // 16 bytes: bucket scatter/scan moves these, so small matters. `key` packs
-  // the global insertion seq above the slab index; seqs are unique, so
-  // comparing keys compares seqs, and the slot rides along for free.
+  // 16 bytes: bucket scatter and the bottom list move these, so small
+  // matters. `key` packs the global insertion seq above the slab index; seqs
+  // are unique, so comparing keys compares seqs, and the slot rides along
+  // for free.
   struct Entry {
     SimTime time;
     std::uint64_t key;  // (seq << kSlotBits) | slot
@@ -160,23 +178,20 @@ class Calendar {
       return static_cast<std::uint32_t>(key & (kMaxSlots - 1));
     }
   };
-  // Branchless on purpose (bitwise ops, no short-circuit): bucket min-scans
-  // select with this, and a compare that branches on data mispredicts.
+  // Branchless on purpose (bitwise ops, no short-circuit): the bottom list's
+  // sort compares with this, and a compare that branches on data mispredicts.
   static bool Earlier(const Entry& a, const Entry& b) {
     return (a.time < b.time) |
            (static_cast<int>(a.time == b.time) &
             static_cast<int>(a.key < b.key));
   }
 
+  // The event payload. Its liveness word is kept apart, in pending_seq_.
   struct Slot {
     EventFn fn;                                // engaged iff handler event
     std::coroutine_handle<> resume = nullptr;  // set iff resume event
     SimTime time = 0.0;                        // scheduled fire time
     std::uint32_t token = 0;                   // registry token if resume
-    // Seq of the event currently occupying this slot (0 = none): the
-    // liveness test for bucket entries. Distinct from `gen`, which validates
-    // EventIds across slot reuse.
-    std::uint64_t pending_seq = 0;
     // Generation currently associated with this slot. Issued to the id when
     // the slot is allocated; bumped when the slot is freed (fire or cancel),
     // which invalidates every outstanding id for it. Wraps after 2^32
@@ -191,7 +206,8 @@ class Calendar {
   // first non-empty bucket is found with a couple of word scans. Rung
   // objects are pooled in rungs_ and reused, so their bucket vectors keep
   // their capacity across activations - except a split bucket of the
-  // bottom rung, which hands its storage back (SplitBucket).
+  // bottom rung and a large drained bucket, which hand their storage back
+  // (SplitBucket, Refill).
   struct Rung {
     SimTime base = 0.0;
     double width = 1.0;
@@ -202,13 +218,6 @@ class Calendar {
     std::size_t count = 0;      // physical entries (live + lazily cancelled)
     std::vector<std::vector<Entry>> buckets;
     std::vector<std::uint64_t> occupied;
-  };
-
-  // Location of the head event, valid until the next mutation.
-  struct Head {
-    std::size_t rung;
-    std::uint32_t bucket;
-    std::size_t index;
   };
 
   // A same-time wakeup: its time is last_fired_, so only the seq is kept.
@@ -223,7 +232,7 @@ class Calendar {
   }
 
   bool EntryLive(const Entry& e) const {
-    return slots_[e.slot()].pending_seq == e.seq();
+    return pending_seq_[e.slot()] == e.seq();
   }
 
   // The bucket index for time t in rung r. Clamped into [0, nbuckets);
@@ -233,15 +242,16 @@ class Calendar {
   // ulp, the partition stays sorted).
   static std::uint32_t BucketIndex(const Rung& r, SimTime t);
 
+  // Checks a handler event's time and allocates its slot.
+  std::uint32_t ClaimSlot(SimTime time);
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t index);
   EventId ScheduleSlot(SimTime time, std::uint32_t slot);
-  // Routes an entry to the deepest rung whose span contains its time,
-  // opening an under-rung or the overflow list as needed. Returns the bucket
-  // index when the entry landed in the deepest rung (so a schedule that
-  // undercuts next_time_ can set the cached head directly), -1 otherwise.
-  std::int64_t Place(Entry e);
-  std::uint32_t InsertIntoRung(Rung& r, Entry e);
+  // Routes an entry later than the bottom list's last one to the deepest
+  // rung whose span contains its time, opening a rung, an under-rung or the
+  // overflow list as needed.
+  void Place(Entry e);
+  void InsertIntoRung(Rung& r, Entry e);
   // Resets a pooled rung to cover [base, base + nbuckets*width).
   void ShapeRung(Rung& r, SimTime base, double width, std::uint32_t nbuckets);
   std::uint32_t FirstOccupied(const Rung& r) const;
@@ -254,19 +264,27 @@ class Calendar {
   // Drains the overflow list into a fresh bottom rung spanning its live
   // time range.
   void Rebase();
+  // Shapes a kChildBuckets-wide rung spanning [lo, hi] and pushes it as the
+  // deepest rung. Returns false, opening nothing, when the span cannot be
+  // refined (lo == hi, or the rung stack is full).
+  bool OpenChildRung(SimTime lo, SimTime hi);
   // Splits rung r's bucket b into a finer child rung. Returns false when the
-  // bucket cannot be refined (all times equal, width exhausted, or the rung
-  // stack is full) and must be scanned as-is.
+  // bucket cannot be refined and must be taken as-is.
   bool SplitBucket(Rung& r, std::uint32_t b);
-  // Locates the earliest live event, compacting cancelled entries, popping
-  // exhausted rungs, rebasing from overflow, and splitting oversized current
-  // buckets along the way. Sets next_time_ exactly; returns false when the
-  // calendar is empty. Amortized O(1).
-  bool RefreshHead(Head* head);
-  void RemoveAt(const Head& head);
-  // True when the ladder's earliest event ties the lane front at last_fired_
-  // and was scheduled before it. Requires a non-empty lane.
-  bool LadderHeadPrecedesLane();
+  // Sorted insertion of an entry no later than the bottom list's last one.
+  // A list grown past kBottomMax pending entries spills into a child rung
+  // (dropping its cancelled entries) and is refilled from it.
+  void InsertIntoBottom(Entry e);
+  // Drops cancelled entries off the bottom list's front, refilling the list
+  // when it runs dry, and sets next_time_ to the front's time (kNever once
+  // the calendar is empty).
+  void SettleFront();
+  // Fills the empty bottom list from the first occupied bucket of the
+  // deepest rung, compacting cancelled entries, popping exhausted rungs,
+  // rebasing from overflow and splitting oversized buckets along the way.
+  // Sets next_time_ exactly; returns false when no event is pending.
+  // Amortized O(1).
+  bool Refill();
   void MaybeAudit();
 
   std::vector<Rung> rungs_ = std::vector<Rung>(kMaxRungs);  // pooled stack
@@ -274,22 +292,14 @@ class Calendar {
   std::vector<Entry> top_;  // unsorted overflow beyond the rung horizons
   SimTime top_min_ = kNever;  // lower bound on live overflow times
 
-  // Cached location of the head event, maintained across pops so the common
-  // pop doesn't re-locate. Invalidated when a schedule undercuts next_time_
-  // (the new event may sit in a different rung) and re-established by
-  // RefreshHead. head_valid_ implies the calendar is non-empty.
-  Head head_{};
-  bool head_valid_ = false;
-
-  // Single-event fast path: when the calendar is otherwise empty the event
-  // parks here instead of in a bucket, and fires straight from the
-  // register. A second schedule demotes it into the ladder. This makes the
-  // ubiquitous one-pending-event cycle (schedule completion, fire, schedule
-  // the next) bypass the bucket machinery entirely. Invariant: solo_valid_
-  // implies the ladder and overflow are physically empty, live_ == 1, and
-  // dead_ == 0.
-  Entry solo_{};
-  bool solo_valid_ = false;
+  // The bottom list: the earliest ladder events, pending entries
+  // bottom_[bottom_head_..] sorted by (time, seq). Its front is live
+  // whenever live_ > 0, and every rung and overflow entry is strictly later
+  // than its last entry. Reset (not shrunk) when drained, so it stops
+  // allocating at its high-water mark. With one event pending the list
+  // holds just that event, and the bucket machinery is not touched.
+  std::vector<Entry> bottom_;
+  std::size_t bottom_head_ = 0;
 
   // The same-time lane: pending entries are lane_[lane_head_..]. Reset (not
   // shrunk) when drained, so a non-empty vector means a non-empty lane, and
@@ -298,10 +308,16 @@ class Calendar {
   std::size_t lane_head_ = 0;
 
   std::vector<Slot> slots_;
+  // Per slot, the seq of the event occupying it (0 = none): the liveness
+  // test for queue entries, in an array of its own so the test touches 8
+  // bytes, not a whole slot. Distinct from Slot::gen, which validates
+  // EventIds across slot reuse.
+  std::vector<std::uint64_t> pending_seq_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_ = 0;  // live ladder events (the lane is counted apart)
-  // Cancelled entries still physically present in buckets/overflow. With
-  // live_ == 0 && dead_ == 0 the ladder is known empty without a walk.
+  // Cancelled entries still physically present in the bottom list, buckets
+  // or overflow. With live_ == 0 && dead_ == 0 the ladder is known empty
+  // without a walk.
   std::size_t dead_ = 0;
   std::uint64_t next_seq_ = 1;
   SimTime last_fired_ = 0.0;
@@ -310,6 +326,18 @@ class Calendar {
   // Operations since the last audit sweep (audit builds only).
   std::uint64_t audit_tick_ = 0;
 };
+
+// ccsim-analyze: hot-path(every timed action in the simulation funnels here)
+template <typename F>
+Calendar::EventId Calendar::Schedule(SimTime time, F&& fn) {
+  if constexpr (std::is_same_v<std::remove_cvref_t<F>, EventFn>) {
+    CCSIM_CHECK_MSG(static_cast<bool>(fn),
+                    "event scheduled with empty handler");
+  }
+  std::uint32_t slot = ClaimSlot(time);
+  slots_[slot].fn.Emplace(std::forward<F>(fn));
+  return ScheduleSlot(time, slot);
+}
 
 }  // namespace ccsim::sim
 

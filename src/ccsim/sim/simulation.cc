@@ -1,7 +1,6 @@
 #include "ccsim/sim/simulation.h"
 
 #include <cinttypes>
-#include <utility>
 
 #include "ccsim/sim/check.h"
 
@@ -29,11 +28,6 @@ class ScopedDumpHook {
 };
 
 }  // namespace
-
-Simulation::EventId Simulation::At(SimTime time, EventFn handler) {
-  CCSIM_CHECK_MSG(time >= now_, "event scheduled in the past");
-  return calendar_.Schedule(time, std::move(handler));
-}
 
 void Simulation::BeginEvent(const Calendar::Fired& fired) {
   in_event_ = true;
@@ -109,35 +103,28 @@ void Simulation::DumpDiagnostics(std::FILE* out) const {
   std::fprintf(out, "--- end of dump ---\n");
 }
 
-void Simulation::Run() {
+void Simulation::Loop(SimTime end) {
+  // A loop run from one of its own events would pop into the record whose
+  // handler is running.
+  CCSIM_CHECK_MSG(!in_event_, "event loop re-entered from one of its events");
   stop_requested_ = false;
   ScopedDumpHook dump_hook(this);
-  while (!stop_requested_) {
-    auto fired = calendar_.PopNext();
-    if (!fired) break;
-    CCSIM_CHECK(fired->time >= now_);
-    now_ = fired->time;
+  while (!stop_requested_ && calendar_.NextTime() <= end &&
+         calendar_.Pop(&fired_)) {
+    CCSIM_CHECK(fired_.time >= now_);
+    now_ = fired_.time;
     ++events_fired_;
-    BeginEvent(*fired);
-    Dispatch(*fired);
+    BeginEvent(fired_);
+    Dispatch(fired_);
     in_event_ = false;
   }
 }
 
+void Simulation::Run() { Loop(kNever); }
+
 void Simulation::RunUntil(SimTime end) {
   CCSIM_CHECK_MSG(end >= now_, "RunUntil target in the past");
-  stop_requested_ = false;
-  ScopedDumpHook dump_hook(this);
-  while (!stop_requested_) {
-    if (calendar_.NextTime() > end) break;
-    auto fired = calendar_.PopNext();
-    if (!fired) break;
-    now_ = fired->time;
-    ++events_fired_;
-    BeginEvent(*fired);
-    Dispatch(*fired);
-    in_event_ = false;
-  }
+  Loop(end);
   if (now_ < end) now_ = end;
 }
 

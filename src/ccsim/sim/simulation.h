@@ -84,7 +84,6 @@ class SuspendedSet {
 class Simulation {
  public:
   using EventId = Calendar::EventId;
-  using Handler = EventFn;
   using SuspendToken = SuspendedSet::Token;
   static constexpr EventId kInvalidEventId = Calendar::kInvalidEventId;
 
@@ -107,15 +106,23 @@ class Simulation {
   /// is destroyed; the facilities' member order guarantees that.
   Arena* arena() { return &arena_; }
 
-  /// Schedules `handler` at absolute simulated time `time`. Scheduling into
-  /// the past (time < Now()) is a fatal error, as is a NaN time.
-  EventId At(SimTime time, EventFn handler);
+  /// Schedules `handler` (a callable, or an EventFn moved in) at absolute
+  /// simulated time `time`. The calendar constructs the callable in its
+  /// slot, and the pop moves it once more, into the record it runs from.
+  /// Scheduling into the past (time < Now()) is a fatal error, as is a NaN
+  /// time.
+  template <typename F>
+  EventId At(SimTime time, F&& handler) {
+    CCSIM_CHECK_MSG(time >= now_, "event scheduled in the past");
+    return calendar_.Schedule(time, std::forward<F>(handler));
+  }
 
   /// Schedules `handler` after a relative delay `dt` (>= 0; negative or NaN
   /// delays are a fatal error).
-  EventId After(SimTime dt, EventFn handler) {
+  template <typename F>
+  EventId After(SimTime dt, F&& handler) {
     CCSIM_CHECK_MSG(dt >= 0.0, "After with negative or NaN delay");
-    return At(now_ + dt, std::move(handler));
+    return At(now_ + dt, std::forward<F>(handler));
   }
 
   /// Cancels a pending event; returns true if it had not yet fired.
@@ -260,13 +267,18 @@ class Simulation {
     calendar_.ScheduleResume(time, h, token);
   }
 
-  /// Fires one popped event: either invoke its handler or resume its
-  /// coroutine.
+  /// The event loop of Run and RunUntil: fires events with time <= `end`
+  /// until the calendar empties or Stop() is called.
+  void Loop(SimTime end);
+
+  /// Fires one popped event: either invoke its handler (then destroy it, so
+  /// its captures go now) or resume its coroutine.
   void Dispatch(Calendar::Fired& fired) {
     if (fired.kind == EventKind::kResume) {
       ResumeSuspended(fired.resume, fired.token);
     } else {
       fired.fn();
+      fired.fn.Reset();
     }
   }
 
@@ -281,6 +293,10 @@ class Simulation {
   // during their own destruction.
   Arena arena_;
   Calendar calendar_;
+  // The event being fired: the pop moves its handler here and the loop runs
+  // it in place. A member, not a loop local, so a RunUntil per event (as in
+  // a caller that steps the clock) builds no record per call.
+  Calendar::Fired fired_;
   SimTime now_ = 0.0;
   bool stop_requested_ = false;
   std::uint64_t events_fired_ = 0;

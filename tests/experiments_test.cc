@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -206,13 +207,34 @@ TEST(ResultCache, FigureConfigsFindTheirCommittedEntries) {
   // Knobs that no committed entry sets: their fingerprints are pinned.
   EXPECT_EQ(key(with(Exp1Config(8, k2pl, 8),
                      [](Cfg& c) { c.run.enable_audit = true; })),
-            0x7903cd27a8a473e0ULL);
+            0x0747010fa63a8063ULL);
   EXPECT_EQ(key(with(Exp1Config(8, kWw, 8),
                      [](Cfg& c) { c.workload.fake_restarts = true; })),
-            0xd5f42242c9725243ULL);
+            0xff511b3656baacfaULL);
   EXPECT_EQ(key(with(Exp1Config(8, k2pl, 8),
                      [](Cfg& c) { c.run.rt_batch_size = 50; })),
-            0x523c6e1d1ec781c3ULL);
+            0xfd6adc3aa8fc65dcULL);
+}
+
+TEST(ResultCache, ConditionalKnobsKeyDistinctly) {
+  // Fake restarts, the audit and a non-default rt_batch_size are each mixed
+  // into the key only when set, all three as the value 1 here; the key must
+  // still tell them apart, and from the config with none of them.
+  using Cfg = config::SystemConfig;
+  auto key = [](Cfg cfg, void (*edit)(Cfg&)) {
+    cfg.run.warmup_sec = 300;
+    cfg.run.measure_sec = 1500;
+    edit(cfg);
+    return cfg.Fingerprint();
+  };
+  const Cfg exp1 = Exp1Config(8, config::CcAlgorithm::kTwoPhaseLocking, 8);
+  const std::set<std::uint64_t> keys = {
+      key(exp1, [](Cfg&) {}),
+      key(exp1, [](Cfg& c) { c.run.enable_audit = true; }),
+      key(exp1, [](Cfg& c) { c.workload.fake_restarts = true; }),
+      key(exp1, [](Cfg& c) { c.run.rt_batch_size = 1; }),
+  };
+  EXPECT_EQ(keys.size(), 4u);
 }
 
 TEST(ResultCache, MissThenHit) {

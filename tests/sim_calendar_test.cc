@@ -23,7 +23,8 @@ TEST(Calendar, StartsEmpty) {
   EXPECT_TRUE(cal.empty());
   EXPECT_EQ(cal.size(), 0u);
   EXPECT_EQ(cal.NextTime(), kNever);
-  EXPECT_FALSE(cal.PopNext().has_value());
+  Calendar::Fired fired;
+  EXPECT_FALSE(cal.Pop(&fired));
 }
 
 TEST(Calendar, PopsInTimeOrder) {
@@ -32,7 +33,8 @@ TEST(Calendar, PopsInTimeOrder) {
   cal.Schedule(3.0, [&] { order.push_back(3); });
   cal.Schedule(1.0, [&] { order.push_back(1); });
   cal.Schedule(2.0, [&] { order.push_back(2); });
-  while (auto fired = cal.PopNext()) Fire(*fired);
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) Fire(fired);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -42,7 +44,8 @@ TEST(Calendar, TiesFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     cal.Schedule(5.0, [&order, i] { order.push_back(i); });
   }
-  while (auto fired = cal.PopNext()) Fire(*fired);
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) Fire(fired);
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
@@ -59,7 +62,8 @@ TEST(Calendar, TiesFireInInsertionOrderAcrossSlotReuse) {
   for (int i = 0; i < 4; ++i) {
     cal.Schedule(5.0, [&order, i] { order.push_back(i); });
   }
-  while (auto fired = cal.PopNext()) Fire(*fired);
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) Fire(fired);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
@@ -75,15 +79,16 @@ TEST(Calendar, CancelPreventsFiring) {
   bool fired = false;
   auto id = cal.Schedule(1.0, [&] { fired = true; });
   EXPECT_TRUE(cal.Cancel(id));
-  EXPECT_FALSE(cal.PopNext().has_value());
+  Calendar::Fired popped;
+  EXPECT_FALSE(cal.Pop(&popped));
   EXPECT_FALSE(fired);
 }
 
 TEST(Calendar, CancelReturnsFalseForUnknownOrFiredEvent) {
   Calendar cal;
   auto id = cal.Schedule(1.0, [] {});
-  auto fired = cal.PopNext();
-  ASSERT_TRUE(fired.has_value());
+  Calendar::Fired fired;
+  ASSERT_TRUE(cal.Pop(&fired));
   EXPECT_FALSE(cal.Cancel(id));
   EXPECT_FALSE(cal.Cancel(9999));
   EXPECT_FALSE(cal.Cancel(Calendar::kInvalidEventId));
@@ -103,7 +108,8 @@ TEST(Calendar, CancelDoesNotDisturbOtherEvents) {
   auto id = cal.Schedule(2.0, [&] { order.push_back(2); });
   cal.Schedule(3.0, [&] { order.push_back(3); });
   cal.Cancel(id);
-  while (auto f = cal.PopNext()) Fire(*f);
+  Calendar::Fired f;
+  while (cal.Pop(&f)) Fire(f);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
@@ -129,16 +135,17 @@ TEST(Calendar, RecycledSlotIdsDoNotAlias) {
   // returns false and must not kill B.
   Calendar cal;
   auto a = cal.Schedule(1.0, [] {});
-  ASSERT_TRUE(cal.PopNext().has_value());
+  Calendar::Fired popped;
+  ASSERT_TRUE(cal.Pop(&popped));
   bool b_fired = false;
   auto b = cal.Schedule(2.0, [&] { b_fired = true; });
   EXPECT_NE(a, b);  // same slot, different generation
   EXPECT_EQ(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
   EXPECT_FALSE(cal.Cancel(a));
   EXPECT_EQ(cal.size(), 1u);
-  auto fired = cal.PopNext();
-  ASSERT_TRUE(fired.has_value());
-  Fire(*fired);
+  Calendar::Fired fired;
+  ASSERT_TRUE(cal.Pop(&fired));
+  Fire(fired);
   EXPECT_TRUE(b_fired);
 }
 
@@ -190,9 +197,9 @@ TEST(Calendar, SlotCapacityTracksHighWaterMarkOnly) {
   EXPECT_EQ(cap, 100u);
   // Steady-state churn at depth <= 100 must not grow the slab.
   for (int round = 0; round < 50; ++round) {
-    auto fired = cal.PopNext();
-    ASSERT_TRUE(fired.has_value());
-    cal.Schedule(fired->time + 1000.0, [] {});
+    Calendar::Fired fired;
+    ASSERT_TRUE(cal.Pop(&fired));
+    cal.Schedule(fired.time + 1000.0, [] {});
   }
   EXPECT_EQ(cal.slot_capacity(), cap);
 }
@@ -230,15 +237,15 @@ TEST(Calendar, DenseScheduleRetainsBucketStorageBoundedByPending) {
   std::size_t first = 0;
   std::size_t peak = 0;
   while (next_sample <= 400.0) {
-    auto fired = cal.PopNext();
-    ASSERT_TRUE(fired.has_value());
-    if (fired->time >= next_sample) {
+    Calendar::Fired fired;
+    ASSERT_TRUE(cal.Pop(&fired));
+    if (fired.time >= next_sample) {
       const std::size_t retained = cal.bucket_capacity();
       if (first == 0) first = retained;
       peak = std::max(peak, retained);
       next_sample += 1.0;
     }
-    cal.Schedule(fired->time + hold(), [] {});
+    cal.Schedule(fired.time + hold(), [] {});
   }
   EXPECT_EQ(cal.size(), kPending);
   EXPECT_GT(first, 0u);
@@ -293,12 +300,12 @@ TEST(Calendar, StressMatchesNaiveReferenceModel) {
                                    if (a.time != b.time) return a.time < b.time;
                                    return a.seq < b.seq;
                                  });
-      auto fired = cal.PopNext();
-      ASSERT_TRUE(fired.has_value());
-      ASSERT_EQ(fired->kind, EventKind::kHandler);
-      fired->fn();
+      Calendar::Fired fired;
+      ASSERT_TRUE(cal.Pop(&fired));
+      ASSERT_EQ(fired.kind, EventKind::kHandler);
+      fired.fn();
       want.push_back(it->payload);
-      EXPECT_DOUBLE_EQ(fired->time, it->time);
+      EXPECT_DOUBLE_EQ(fired.time, it->time);
       now = it->time;
       auto lit = std::find_if(
           live_ids.begin(), live_ids.end(),
@@ -314,9 +321,10 @@ TEST(Calendar, StressMatchesNaiveReferenceModel) {
     ASSERT_EQ(cal.NextTime(), ref_next);
   }
   // Drain the rest and compare the full firing orders.
-  while (auto fired = cal.PopNext()) {
-    ASSERT_EQ(fired->kind, EventKind::kHandler);
-    fired->fn();
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) {
+    ASSERT_EQ(fired.kind, EventKind::kHandler);
+    fired.fn();
   }
   std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -378,11 +386,11 @@ TEST(Calendar, StressWideTimeSpansMatchReference) {
                                    if (a.time != b.time) return a.time < b.time;
                                    return a.seq < b.seq;
                                  });
-      auto fired = cal.PopNext();
-      ASSERT_TRUE(fired.has_value());
-      fired->fn();
+      Calendar::Fired fired;
+      ASSERT_TRUE(cal.Pop(&fired));
+      fired.fn();
       want.push_back(it->payload);
-      EXPECT_DOUBLE_EQ(fired->time, it->time);
+      EXPECT_DOUBLE_EQ(fired.time, it->time);
       now = it->time;
       auto lit = std::find_if(
           live_ids.begin(), live_ids.end(),
@@ -396,7 +404,8 @@ TEST(Calendar, StressWideTimeSpansMatchReference) {
     for (const RefEvent& e : ref) ref_next = std::min(ref_next, e.time);
     ASSERT_EQ(cal.NextTime(), ref_next);
   }
-  while (auto fired = cal.PopNext()) fired->fn();
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) fired.fn();
   std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -431,17 +440,17 @@ TEST(Calendar, ResumeEventsCarryTheHandle) {
   TinyTask task = MarkWhenResumed(&resumed);
   cal.Schedule(1.0, [] {});
   cal.ScheduleResume(0.5, task.handle, /*token=*/7);
-  auto first = cal.PopNext();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->kind, EventKind::kResume);
-  EXPECT_FALSE(static_cast<bool>(first->fn));
-  EXPECT_EQ(first->token, 7u);
-  ASSERT_NE(first->resume, nullptr);
-  first->resume.resume();
+  Calendar::Fired first;
+  ASSERT_TRUE(cal.Pop(&first));
+  EXPECT_EQ(first.kind, EventKind::kResume);
+  EXPECT_FALSE(static_cast<bool>(first.fn));
+  EXPECT_EQ(first.token, 7u);
+  ASSERT_NE(first.resume, nullptr);
+  first.resume.resume();
   EXPECT_TRUE(resumed);
-  auto second = cal.PopNext();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->kind, EventKind::kHandler);
+  Calendar::Fired second;
+  ASSERT_TRUE(cal.Pop(&second));
+  EXPECT_EQ(second.kind, EventKind::kHandler);
   task.handle.destroy();
 }
 
@@ -501,18 +510,18 @@ TEST(Calendar, StressWithSameTimeResumesMatchesReference) {
                                    return a.seq < b.seq;
                                  });
       bool lane_waiting = cal.lane_size() > 0;
-      auto fired = cal.PopNext();
-      ASSERT_TRUE(fired.has_value());
-      EXPECT_DOUBLE_EQ(fired->time, it->time);
+      Calendar::Fired fired;
+      ASSERT_TRUE(cal.Pop(&fired));
+      EXPECT_DOUBLE_EQ(fired.time, it->time);
       if (it->frame != nullptr) {
-        ASSERT_EQ(fired->kind, EventKind::kResume);
-        EXPECT_EQ(fired->resume, it->frame);
-        got.push_back(static_cast<int>(fired->token));
+        ASSERT_EQ(fired.kind, EventKind::kResume);
+        EXPECT_EQ(fired.resume, it->frame);
+        got.push_back(static_cast<int>(fired.token));
         ++lane_pops;
       } else {
-        ASSERT_EQ(fired->kind, EventKind::kHandler);
+        ASSERT_EQ(fired.kind, EventKind::kHandler);
         if (lane_waiting) ++handler_pops_over_lane;
-        fired->fn();
+        fired.fn();
         auto lit = std::find_if(
             live_ids.begin(), live_ids.end(),
             [s = it->seq](const auto& p) { return p.second == s; });
@@ -528,11 +537,12 @@ TEST(Calendar, StressWithSameTimeResumesMatchesReference) {
     for (const RefEvent& e : ref) ref_next = std::min(ref_next, e.time);
     ASSERT_EQ(cal.NextTime(), ref_next);
   }
-  while (auto fired = cal.PopNext()) {
-    if (fired->kind == EventKind::kResume) {
-      got.push_back(static_cast<int>(fired->token));
+  Calendar::Fired fired;
+  while (cal.Pop(&fired)) {
+    if (fired.kind == EventKind::kResume) {
+      got.push_back(static_cast<int>(fired.token));
     } else {
-      fired->fn();
+      fired.fn();
     }
   }
   std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
@@ -544,6 +554,193 @@ TEST(Calendar, StressWithSameTimeResumesMatchesReference) {
   // The schedule must reach the merge cases, or the comparison proves little.
   EXPECT_GT(lane_pops, 1000);
   EXPECT_GT(handler_pops_over_lane, 100);
+  for (TinyTask& frame : frames) frame.handle.destroy();
+}
+
+// The bottom list against the reference model, with every pop, size and
+// NextTime() compared: bursts scheduled at or before the ladder's earliest
+// time, so they insert into the list until it spills into a child rung;
+// more ties at one time than the list spills at, which cannot spill and
+// must pop in seq order; cancels of the front, including of the last live
+// event while cancelled entries sit in rungs and in overflow, followed by
+// new schedules; and same-time resumes throughout.
+TEST(Calendar, StressBottomListMatchesReference) {
+  struct RefEvent {
+    double time;
+    std::uint64_t seq;
+    int payload;
+    Calendar::EventId id;           // kInvalidEventId for a wakeup
+    std::coroutine_handle<> frame;  // set for a wakeup
+  };
+  std::vector<TinyTask> frames;
+  for (int i = 0; i < 4; ++i) frames.push_back(Idle());
+  Calendar cal;
+  std::vector<RefEvent> ref;
+  std::vector<int> got;
+  Lcg rng(20261020);
+  std::uint64_t next_seq = 0;
+  double now = 0.0;
+  auto before = [](const RefEvent& a, const RefEvent& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  };
+  // The earliest ladder (non-wakeup) event's time, or kNever.
+  auto ladder_min = [&] {
+    double t = kNever;
+    for (const RefEvent& e : ref) {
+      if (e.frame == nullptr) t = std::min(t, e.time);
+    }
+    return t;
+  };
+  auto check = [&] {
+    ASSERT_EQ(cal.size(), ref.size());
+    double want = kNever;
+    for (const RefEvent& e : ref) want = std::min(want, e.time);
+    ASSERT_EQ(cal.NextTime(), want);
+  };
+  auto schedule = [&](double t) {
+    int payload = static_cast<int>(next_seq);
+    auto id = cal.Schedule(t, [&got, payload] { got.push_back(payload); });
+    ref.push_back(RefEvent{t, next_seq++, payload, id, nullptr});
+    check();
+  };
+  auto resume = [&] {
+    int payload = static_cast<int>(next_seq);
+    std::coroutine_handle<> frame = frames[rng.Next() % frames.size()].handle;
+    cal.ScheduleResume(now, frame, static_cast<std::uint32_t>(payload));
+    ref.push_back(RefEvent{now, next_seq++, payload,
+                           Calendar::kInvalidEventId, frame});
+    check();
+  };
+  auto cancel = [&](std::size_t k) {
+    ASSERT_TRUE(cal.Cancel(ref[k].id));
+    ASSERT_FALSE(cal.Cancel(ref[k].id));
+    ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(k));
+    check();
+  };
+  // Cancels the earliest ladder event; false if there is none.
+  auto cancel_front = [&] {
+    std::size_t best = ref.size();
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      if (ref[k].frame == nullptr &&
+          (best == ref.size() || before(ref[k], ref[best]))) {
+        best = k;
+      }
+    }
+    if (best == ref.size()) return false;
+    cancel(best);
+    return true;
+  };
+  Calendar::Fired fired;
+  auto pop = [&] {
+    auto it = std::min_element(ref.begin(), ref.end(), before);
+    ASSERT_TRUE(cal.Pop(&fired));
+    ASSERT_EQ(fired.time, it->time);
+    if (it->frame != nullptr) {
+      ASSERT_EQ(fired.kind, EventKind::kResume);
+      ASSERT_EQ(fired.resume, it->frame);
+      ASSERT_EQ(fired.token, static_cast<std::uint32_t>(it->payload));
+    } else {
+      ASSERT_EQ(fired.kind, EventKind::kHandler);
+      fired.fn();
+      ASSERT_EQ(got.back(), it->payload);
+    }
+    now = it->time;
+    ref.erase(it);
+    check();
+  };
+  auto drain = [&] {
+    while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(pop());
+    ASSERT_FALSE(cal.Pop(&fired));
+  };
+  int tie_runs = 0;   // runs of > 32 ties scheduled into an empty calendar
+  int front_cuts = 0; // last live event cancelled over dead rung entries
+  for (int round = 0; round < 400; ++round) {
+    switch (rng.Next() % 6) {
+      case 0: {
+        // A burst at or before the ladder's earliest time: every event
+        // goes into the bottom list, which spills past 32 pending.
+        double front = ladder_min();
+        if (front == kNever) front = now + 1.0;
+        int n = 40 + static_cast<int>(rng.Next() % 60);
+        for (int i = 0; i < n; ++i) {
+          double t = now + (front - now) *
+                               static_cast<double>(rng.Next() % 65) / 64.0;
+          ASSERT_NO_FATAL_FAILURE(schedule(t));
+          if (rng.Next() % 8 == 0) {
+            ASSERT_NO_FATAL_FAILURE(resume());
+          }
+        }
+        break;
+      }
+      case 1: {
+        // Ties past the spill bound: into an empty calendar, so all of them
+        // sit in the bottom list, or over pending events.
+        if (rng.Next() % 2 == 0) {
+          ASSERT_NO_FATAL_FAILURE(drain());
+          ++tie_runs;
+        }
+        double t = now + static_cast<double>(rng.Next() % 4) / 4.0;
+        int n = 33 + static_cast<int>(rng.Next() % 40);
+        for (int i = 0; i < n; ++i) ASSERT_NO_FATAL_FAILURE(schedule(t));
+        break;
+      }
+      case 2: {
+        int n = 1 + static_cast<int>(rng.Next() % 4);
+        for (int i = 0; i < n; ++i) {
+          bool cancelled = false;
+          ASSERT_NO_FATAL_FAILURE(cancelled = cancel_front());
+          if (!cancelled) break;
+        }
+        break;
+      }
+      case 3: {
+        // Cancelled entries in rungs and in overflow under one live event,
+        // which is then cancelled; then the calendar is used again.
+        ASSERT_NO_FATAL_FAILURE(drain());
+        ASSERT_NO_FATAL_FAILURE(schedule(now + 0.5));
+        std::size_t first_dead = ref.size();
+        for (int i = 0; i < 20; ++i) {
+          ASSERT_NO_FATAL_FAILURE(
+              schedule(now + 1.0 + static_cast<double>(rng.Next() % 64)));
+          ASSERT_NO_FATAL_FAILURE(
+              schedule(now + 1e9 + static_cast<double>(rng.Next() % 64)));
+        }
+        while (ref.size() > first_dead) {
+          ASSERT_NO_FATAL_FAILURE(cancel(ref.size() - 1));
+        }
+        ASSERT_NO_FATAL_FAILURE(cancel(0));
+        ASSERT_TRUE(cal.empty());
+        ++front_cuts;
+        for (int i = 0; i < 3; ++i) {
+          ASSERT_NO_FATAL_FAILURE(
+              schedule(now + static_cast<double>(rng.Next() % 8) / 8.0));
+        }
+        break;
+      }
+      case 4: {
+        int n = 1 + static_cast<int>(rng.Next() % 4);
+        for (int i = 0; i < n; ++i) ASSERT_NO_FATAL_FAILURE(resume());
+        if (rng.Next() % 2 == 0) {
+          ASSERT_NO_FATAL_FAILURE(schedule(now));
+        }
+        break;
+      }
+      default: {
+        int n = 1 + static_cast<int>(rng.Next() % 40);
+        for (int i = 0; i < n && !ref.empty(); ++i) {
+          ASSERT_NO_FATAL_FAILURE(pop());
+          if (rng.Next() % 4 == 0) {
+            ASSERT_NO_FATAL_FAILURE(resume());
+          }
+        }
+        break;
+      }
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(drain());
+  EXPECT_GT(tie_runs, 10);
+  EXPECT_GT(front_cuts, 10);
   for (TinyTask& frame : frames) frame.handle.destroy();
 }
 
@@ -565,8 +762,8 @@ TEST(CalendarDeathTest, RejectsEmptyHandler) {
 TEST(CalendarDeathTest, RejectsSchedulingBeforeLastFiredEvent) {
   Calendar cal;
   cal.Schedule(5.0, [] {});
-  auto fired = cal.PopNext();
-  ASSERT_TRUE(fired.has_value());
+  Calendar::Fired fired;
+  ASSERT_TRUE(cal.Pop(&fired));
   EXPECT_DEATH(cal.Schedule(1.0, [] {}), "simulated past");
 }
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccsim/config/params.h"
@@ -70,6 +71,47 @@ TEST(Simulation, CountsFiredEvents) {
   for (int i = 0; i < 7; ++i) sim.At(i, [] {});
   sim.Run();
   EXPECT_EQ(sim.events_fired(), 7u);
+}
+
+// Counts its moves and copies, and records how many it had when it ran.
+struct MoveCounter {
+  MoveCounter(int* moves, int* moves_when_run)
+      : moves(moves), moves_when_run(moves_when_run) {}
+  MoveCounter(MoveCounter&& other) noexcept
+      : moves(other.moves), moves_when_run(other.moves_when_run) {
+    ++*moves;
+  }
+  MoveCounter(const MoveCounter& other)
+      : moves(other.moves), moves_when_run(other.moves_when_run) {
+    ++*moves;
+  }
+  void operator()() const { *moves_when_run = *moves; }
+  int* moves;
+  int* moves_when_run;
+};
+
+// At constructs a callable in its calendar slot, and the pop moves it once
+// more, into the record it runs from; an EventFn is moved in once too. The
+// slot slab is warmed first: growing it past its high-water mark moves the
+// pending handlers along with their slots.
+TEST(Simulation, AtMovesAHandlerAtMostTwiceBeforeItRuns) {
+  Simulation sim;
+  for (int i = 0; i < 4; ++i) sim.At(0.5, [] {});
+  sim.Run();
+  sim.At(5.0, [] {});  // the handlers below join a non-empty calendar
+  int lambda_moves = 0;
+  int lambda_moves_when_run = -1;
+  sim.At(1.0, MoveCounter(&lambda_moves, &lambda_moves_when_run));
+  int fn_moves = 0;
+  int fn_moves_when_run = -1;
+  EventFn fn(MoveCounter(&fn_moves, &fn_moves_when_run));
+  const int fn_moves_before = fn_moves;
+  sim.At(2.0, std::move(fn));
+  sim.Run();
+  EXPECT_GE(lambda_moves_when_run, 0);
+  EXPECT_LE(lambda_moves_when_run, 2);
+  EXPECT_GE(fn_moves_when_run, fn_moves_before);
+  EXPECT_LE(fn_moves_when_run - fn_moves_before, 2);
 }
 
 TEST(SimulationDeathTest, RejectsSchedulingInThePast) {
